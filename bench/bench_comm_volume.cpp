@@ -1,21 +1,21 @@
-// Exchange-mode A/B/C/D on the same network and partitioning: legacy
-// broadcast allgatherv, ghost-delta halo exchange, the event-driven core
-// (ghost exchange + timed-event progressions + quiescence tick-skipping),
-// and the adaptive broadcast/ghost switch.
+// Exchange-mode A/B on the same network and partitioning: the broadcast
+// reference (allgatherv of the full infectious set, full rescan, per-person
+// progression scan) against the adaptive production path (timed-event
+// progressions, quiescence tick-skipping, and a per-tick switch between the
+// broadcast kernel and the ghost-delta halo + frontier kernel).
 //
-// The legacy transmission step allgatherv'd every rank's full infectious
-// set to every rank, every tick — O(global infectious x ranks) bytes on
-// the wire regardless of how many of those records a rank could ever use.
-// The ghost-delta protocol sends each rank only the *changes* to the
-// boundary records it subscribed to at construction; the event mode
-// additionally skips globally quiescent ticks outright (the seeds land at
-// tick 8, so the dormant prefix is provably skippable). This bench runs
-// all four kernels to the same epidemic and reports wall time, wire
-// bytes, events processed, and skipped ticks; it exits non-zero if any
-// mode's epidemic diverges from broadcast, if the ghost kernel fails to
-// move strictly fewer bytes than broadcast, or if the event mode is not
-// strictly faster per tick than both legacy modes (the CI perf-smoke
-// gates).
+// The broadcast step allgatherv's every rank's full infectious set to every
+// rank, every tick — O(global infectious x ranks) bytes on the wire
+// regardless of how many of those records a rank could ever use. On its
+// sparse ticks the adaptive mode sends each rank only the *changes* to the
+// boundary records it subscribed to at construction, and it skips globally
+// quiescent ticks outright (the seeds land at tick 8, so the dormant prefix
+// is provably skippable). This bench runs both modes to the same epidemic
+// and reports wall time, wire bytes, work, events processed, and skipped
+// ticks; it exits non-zero if the epidemics diverge, if the adaptive halo
+// payload is not strictly below broadcast's whole-run traffic, if adaptive
+// does not do strictly less work, or if it is not strictly faster per tick
+// (the CI perf-smoke gates).
 
 #include <algorithm>
 #include <cstdio>
@@ -70,8 +70,8 @@ int main() {
   using namespace epi;
   using namespace epi::bench;
 
-  heading("Communication volume + exchange-mode matrix");
-  note("same network, partitioning, seeds, and RNG streams for all kernels;");
+  heading("Communication volume + exchange-mode A/B");
+  note("same network, partitioning, seeds, and RNG streams for both modes;");
   note("the epidemic outputs must be identical, only wire traffic, touched");
   note("edges, and per-tick cost differ");
 
@@ -87,7 +87,7 @@ int main() {
   SimulationConfig config;
   config.num_ticks = kTicks;
   config.seed = 11;
-  // Seeds land at tick 8: the dormant prefix gives the event mode a
+  // Seeds land at tick 8: the dormant prefix gives the adaptive mode a
   // deterministic skip window, so "strictly faster per tick" is a property
   // of the algorithm, not of scheduler noise.
   config.seeds = {SeedSpec{0, 10, 8}};
@@ -101,30 +101,25 @@ int main() {
              " ticks");
 
   const ExchangeMode modes[] = {ExchangeMode::kBroadcast,
-                                ExchangeMode::kGhostDelta, ExchangeMode::kEvent,
                                 ExchangeMode::kAdaptive};
-  KernelRun runs[4];
-  for (int i = 0; i < 4; ++i) {
+  KernelRun runs[2];
+  for (int i = 0; i < 2; ++i) {
     runs[i] = run_kernel(region, model, config, parts, kRanks, modes[i]);
   }
-  const KernelRun& bcast = runs[0];
-  const KernelRun& ghost = runs[1];
-  const KernelRun& event = runs[2];
+  const SimOutput& bcast = runs[0].out;
+  const SimOutput& adaptive = runs[1].out;
 
   bool ok = true;
-  for (int i = 1; i < 4; ++i) {
-    if (runs[i].out.final_states != bcast.out.final_states ||
-        runs[i].out.new_infections_per_tick !=
-            bcast.out.new_infections_per_tick ||
-        runs[i].out.total_infections != bcast.out.total_infections) {
-      note(std::string("FAIL: ") + exchange_mode_name(modes[i]) +
-           " disagrees with broadcast on the epidemic — the A/B is invalid");
-      ok = false;
-    }
+  if (adaptive.final_states != bcast.final_states ||
+      adaptive.new_infections_per_tick != bcast.new_infections_per_tick ||
+      adaptive.total_infections != bcast.total_infections) {
+    note("FAIL: adaptive disagrees with broadcast on the epidemic — the A/B "
+         "is invalid");
+    ok = false;
   }
 
   row({"kernel", "comm MB", "s/tick", "wall s", "events", "skipped"}, 12);
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 0; i < 2; ++i) {
     const SimOutput& out = runs[i].out;
     row({exchange_mode_name(modes[i]),
          fmt(static_cast<double>(out.communication_bytes) / 1e6, 3),
@@ -133,22 +128,14 @@ int main() {
         12);
   }
 
-  const std::uint64_t bcast_bytes = bcast.out.communication_bytes;
-  const std::uint64_t ghost_bytes = ghost.out.communication_bytes;
   note("edges evaluated (all ticks, all ranks): broadcast " +
-       fmt_int(sum_edges(bcast.out)) + ", ghost " +
-       fmt_int(sum_edges(ghost.out)) + ", event " +
-       fmt_int(sum_edges(event.out)));
-  if (ghost_bytes > 0) {
-    note("comm reduction: " +
-         fmt(static_cast<double>(bcast_bytes) /
-                 static_cast<double>(ghost_bytes),
-             2) +
-         "x fewer bytes than broadcast");
-  }
-  note("adaptive split: " + fmt_int(runs[3].out.broadcast_ticks) +
-       " broadcast ticks, " + fmt_int(runs[3].out.ghost_ticks) +
-       " ghost ticks");
+       fmt_int(sum_edges(bcast)) + ", adaptive " + fmt_int(sum_edges(adaptive)));
+  note("work units: broadcast " + fmt_int(bcast.work_units) + ", adaptive " +
+       fmt_int(adaptive.work_units));
+  note("adaptive split: " + fmt_int(adaptive.broadcast_ticks) +
+       " broadcast ticks, " + fmt_int(adaptive.ghost_ticks) +
+       " ghost ticks, " + fmt_int(adaptive.ghost_exchange_bytes) +
+       " halo payload bytes");
 
   JsonReport report("comm_volume");
   report.metric("ranks", static_cast<std::uint64_t>(kRanks));
@@ -156,8 +143,8 @@ int main() {
   report.metric("persons",
                 static_cast<std::uint64_t>(region.population.person_count()));
   report.metric("contacts", region.network.contact_count());
-  report.metric("total_infections", ghost.out.total_infections);
-  for (int i = 0; i < 4; ++i) {
+  report.metric("total_infections", adaptive.total_infections);
+  for (int i = 0; i < 2; ++i) {
     const std::string prefix = exchange_mode_name(modes[i]);
     const SimOutput& out = runs[i].out;
     report.metric(prefix + ".communication_bytes", out.communication_bytes);
@@ -166,42 +153,51 @@ int main() {
     report.metric(prefix + ".seconds_per_tick_mean",
                   mean(out.seconds_per_tick));
     report.metric(prefix + ".edges_evaluated", sum_edges(out));
+    report.metric(prefix + ".work_units", out.work_units);
     report.metric(prefix + ".events_scheduled", out.events_scheduled);
     report.metric(prefix + ".events_fired", out.events_fired);
     report.metric(prefix + ".ticks_skipped", out.ticks_skipped);
     report.metric(prefix + ".ticks_executed", out.ticks_executed);
   }
-  report.metric("ghost.ghost_exchange_bytes", ghost.out.ghost_exchange_bytes);
-  report.metric("adaptive.broadcast_ticks", runs[3].out.broadcast_ticks);
-  report.metric("adaptive.ghost_ticks", runs[3].out.ghost_ticks);
+  report.metric("adaptive.ghost_exchange_bytes", adaptive.ghost_exchange_bytes);
+  report.metric("adaptive.broadcast_ticks", adaptive.broadcast_ticks);
+  report.metric("adaptive.ghost_ticks", adaptive.ghost_ticks);
   report.metric("outputs_identical", ok ? std::uint64_t{1} : std::uint64_t{0});
   report.write();
 
-  // Perf-smoke gates. First, the halo exchange's whole point: strictly
-  // less wire traffic than the broadcast baseline measured in this run.
-  if (ghost_bytes >= bcast_bytes) {
-    note("FAIL: ghost kernel moved " + fmt_int(ghost_bytes) +
-         " bytes, baseline " + fmt_int(bcast_bytes));
+  // Perf-smoke gates. First, the halo's whole point: its per-tick delta
+  // payload over the whole run stays strictly below the broadcast
+  // reference's total traffic measured in this run. (Adaptive's whole-run
+  // total also carries its broadcast ticks, the subscription handshake and
+  // the per-tick switch/skip allreduces, so it is not the halo's measure.)
+  if (adaptive.ghost_exchange_bytes >= bcast.communication_bytes) {
+    note("FAIL: adaptive halo moved " + fmt_int(adaptive.ghost_exchange_bytes) +
+         " bytes, broadcast " + fmt_int(bcast.communication_bytes));
     ok = false;
   } else {
-    note("PASS: ghost bytes strictly below broadcast baseline");
+    note("PASS: adaptive halo bytes strictly below the broadcast total");
   }
-  // Second, the event-driven core's whole point: strictly cheaper ticks
-  // than both legacy modes (skipped ticks cost zero and executed ticks do
-  // no per-person rescans).
-  const double event_spt = mean(event.out.seconds_per_tick);
-  const double bcast_spt = mean(bcast.out.seconds_per_tick);
-  const double ghost_spt = mean(ghost.out.seconds_per_tick);
-  if (event_spt >= bcast_spt || event_spt >= ghost_spt) {
-    note("FAIL: event mode s/tick " + fmt(event_spt, 5) +
-         " not strictly below broadcast " + fmt(bcast_spt, 5) + " and ghost " +
-         fmt(ghost_spt, 5));
+  // Second, deterministic: strictly less work (fewer edge evaluations and
+  // no per-person scans on executed ticks, nothing on skipped ones).
+  if (adaptive.work_units >= bcast.work_units) {
+    note("FAIL: adaptive did " + fmt_int(adaptive.work_units) +
+         " work units, broadcast " + fmt_int(bcast.work_units));
     ok = false;
   } else {
-    note("PASS: event mode s/tick strictly below both legacy modes");
+    note("PASS: adaptive work strictly below broadcast");
   }
-  if (event.out.ticks_skipped == 0) {
-    note("FAIL: event mode skipped no ticks despite the dormant seed prefix");
+  // Third, the same on the clock: strictly cheaper ticks.
+  const double adaptive_spt = mean(adaptive.seconds_per_tick);
+  const double bcast_spt = mean(bcast.seconds_per_tick);
+  if (adaptive_spt >= bcast_spt) {
+    note("FAIL: adaptive s/tick " + fmt(adaptive_spt, 5) +
+         " not strictly below broadcast " + fmt(bcast_spt, 5));
+    ok = false;
+  } else {
+    note("PASS: adaptive s/tick strictly below broadcast");
+  }
+  if (adaptive.ticks_skipped == 0) {
+    note("FAIL: adaptive skipped no ticks despite the dormant seed prefix");
     ok = false;
   }
   return ok ? 0 : 1;

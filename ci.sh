@@ -7,11 +7,11 @@
 #   ./ci.sh plain      # RelWithDebInfo build + tests + CommChecker pass
 #   ./ci.sh proc       # shared-memory backend pass (EPI_MPILITE_BACKEND=shm,
 #                      # ranks as forked processes): mpilite + event-core +
-#                      # parallel-equivalence suites (all four exchange
-#                      # modes at 1/2/4/8 ranks vs the serial oracle), the
+#                      # parallel-equivalence suites (adaptive at 1/2/4/8
+#                      # ranks vs the serial broadcast oracle), the
 #                      # CommChecker re-run, the comm-volume bench, and a
 #                      # deterministic nightly byte-diffed thread vs shm
-#                      # per exchange mode
+#                      # per exchange mode (broadcast, adaptive)
 #   ./ci.sh service    # scenario-service replay determinism: the canned
 #                      # request log twice, and EPI_JOBS=1 vs 4, with
 #                      # byte-diffs of responses + report; throughput gate
@@ -48,16 +48,16 @@ run_plain() {
   ctest --test-dir build --output-on-failure -j "$JOBS"
 
   echo "== CommChecker pass (EPI_MPILITE_CHECK=1) =="
-  # Re-run the mpilite-backed suites under the communication checker: a
-  # correct program must produce zero reports, so any report fails the
-  # test. InvalidRankOrTagThrows seeds deliberate misuse inside
+  # Re-run the mpilite-backed suites and every *Equivalence rank sweep
+  # under the communication checker: a correct program must produce zero
+  # reports, so any report fails the test. InvalidRankOrTagThrows seeds deliberate misuse inside
   # EXPECT_THROW and is excluded — the checker reporting it is the
   # expected behaviour, exercised by tests/test_mpilite_check.cpp.
   # UnreceivedMessagesLeaveNoDanglingEdges intentionally leaves a send
   # unmatched to prove flow export emits no dangling edges, which the
   # checker rightly flags as a message leak.
   EPI_MPILITE_CHECK=1 ctest --test-dir build --output-on-failure -j "$JOBS" \
-    -R 'Mpilite|Parallel' -E 'InvalidRankOrTag|UnreceivedMessages'
+    -R 'Mpilite|Parallel|Equivalence' -E 'InvalidRankOrTag|UnreceivedMessages'
 
   echo "== trace pass (EPI_TRACE) =="
   # Run the nightly example twice with tracing on and deterministic
@@ -75,14 +75,14 @@ run_plain() {
   cmp build/trace-ci/metrics.json build/trace-ci-2/metrics.json
   echo "trace pass OK (valid + byte-identical across runs)"
 
-  echo "== perf smoke (exchange-mode matrix) =="
-  # A/B/C/D the four exchange modes in the same run; the bench exits
-  # non-zero if the ghost kernel does not move strictly fewer bytes than
-  # broadcast, if the event-driven core is not strictly faster per tick
-  # than BOTH legacy modes (the ROADMAP hard gate), or if any mode's
-  # epidemic output diverges. The fig7 sweep applies the same event-faster
-  # gate across its size ladder. JSON reports land in build/ for
-  # regression diffs.
+  echo "== perf smoke (exchange-mode A/B) =="
+  # A/B the adaptive production path against the broadcast reference in
+  # the same run; the bench exits non-zero if the adaptive halo payload is
+  # not strictly below broadcast's total bytes, if adaptive does not do
+  # strictly less work or is not strictly faster per tick, or if the
+  # epidemic outputs diverge. The fig7 sweep applies the same
+  # adaptive-faster gate across its size ladder. JSON reports land in
+  # build/ for regression diffs.
   rm -rf build/perf-smoke && mkdir -p build/perf-smoke
   EPI_BENCH_JSON=build/perf-smoke ./build/bench/bench_comm_volume
   EPI_BENCH_JSON=build/perf-smoke \
@@ -91,18 +91,16 @@ run_plain() {
 
   echo "== exchange-mode byte-diff (EPI_EXCHANGE on the nightly) =="
   # The determinism contract end to end: the deterministic nightly must
-  # produce byte-identical reports under every exchange mode — the env
+  # produce byte-identical reports under both exchange modes — the env
   # override is the only thing that changes between runs.
-  for mode in broadcast ghost event adaptive; do
+  for mode in broadcast adaptive; do
     EPI_EXCHANGE="$mode" EPI_DETERMINISTIC_TIMING=1 \
       ./build/examples/nightly_national_run economic \
       > "build/perf-smoke/nightly-$mode.txt"
   done
-  for mode in ghost event adaptive; do
-    cmp "build/perf-smoke/nightly-broadcast.txt" \
-      "build/perf-smoke/nightly-$mode.txt"
-  done
-  echo "exchange-mode byte-diff OK (broadcast == ghost == event == adaptive)"
+  cmp "build/perf-smoke/nightly-broadcast.txt" \
+    "build/perf-smoke/nightly-adaptive.txt"
+  echo "exchange-mode byte-diff OK (broadcast == adaptive)"
 
   echo "== farm pass (EPI_JOBS) =="
   # The deterministic executor's contract, end to end: the calibration
@@ -124,12 +122,12 @@ run_proc() {
   cmake -B build -S . >/dev/null
   cmake --build build -j "$JOBS"
 
-  # The mpilite, event-core, and parallel-equivalence suites with every
-  # rank above 0 a forked process over the shared-memory segment. The
-  # equivalence suites compare each exchange mode's parallel output
-  # byte-for-byte against the backend-independent serial oracle at
-  # 1/2/4/8 ranks, so a pass here IS the thread-vs-shm identity for all
-  # four EPI_EXCHANGE modes.
+  # The mpilite, event-core, exchange-mode and parallel-equivalence suites
+  # with every rank above 0 a forked process over the shared-memory
+  # segment. The equivalence suites compare the adaptive mode's parallel
+  # output byte-for-byte against the backend-independent serial broadcast
+  # oracle at 1/2/4/8 ranks, with and without interventions, so a pass
+  # here IS the thread-vs-shm identity of the production path.
   #
   # No EPI_JOBS farm runs here: the shm launcher forks, and forking a
   # process that holds live farm worker threads is undefined enough to be
@@ -143,12 +141,12 @@ run_proc() {
   # state from the segment's checker slots.
   EPI_MPILITE_BACKEND=shm EPI_MPILITE_CHECK=1 \
     ctest --test-dir build --output-on-failure -j "$JOBS" \
-    -R 'Mpilite|Parallel' -E 'InvalidRankOrTag|UnreceivedMessages'
+    -R 'Mpilite|Parallel|Equivalence' -E 'InvalidRankOrTag|UnreceivedMessages'
 
   echo "== exchange-mode kernels under forked ranks =="
-  # bench_comm_volume A/B/C/Ds the exchange modes over
-  # run_simulation_parallel and exits nonzero if any mode's epidemic
-  # output diverges — here with ranks as forked processes.
+  # bench_comm_volume A/Bs the exchange modes over
+  # run_simulation_parallel and exits nonzero if their epidemic outputs
+  # diverge — here with ranks as forked processes.
   rm -rf build/proc-ci && mkdir -p build/proc-ci/bench
   EPI_BENCH_JSON=build/proc-ci/bench EPI_MPILITE_BACKEND=shm \
     ./build/bench/bench_comm_volume
@@ -157,7 +155,7 @@ run_proc() {
   # The nightly under both backends, per exchange mode: the reports must
   # be byte-identical — the backend env var may never perturb workflow
   # output.
-  for mode in broadcast ghost event adaptive; do
+  for mode in broadcast adaptive; do
     for backend in thread shm; do
       EPI_EXCHANGE="$mode" EPI_MPILITE_BACKEND="$backend" \
         EPI_DETERMINISTIC_TIMING=1 \
@@ -167,7 +165,7 @@ run_proc() {
     cmp "build/proc-ci/nightly-$mode-thread.txt" \
       "build/proc-ci/nightly-$mode-shm.txt"
   done
-  echo "nightly byte-diff OK (thread == shm for all four exchange modes)"
+  echo "nightly byte-diff OK (thread == shm for both exchange modes)"
 
   # A traced shm run must still emit a valid trace/metrics pair.
   EPI_TRACE=build/proc-ci/trace-shm EPI_MPILITE_BACKEND=shm \
@@ -240,7 +238,7 @@ run_obs() {
   EPI_BENCH_JSON=build/obs-ci/bench ./build/bench/bench_fig9_utilization >/dev/null
   EPI_BENCH_JSON=build/obs-ci/bench ./build/bench/bench_table1_workflows >/dev/null
   # The exchange-mode benches contribute their deterministic count metrics
-  # (edges, events, skipped ticks, wire bytes); their timing metrics are
+  # (edges, work, events, skipped ticks, wire bytes); their timing metrics are
   # reported in the JSON but deliberately absent from the baselines.
   EPI_BENCH_JSON=build/obs-ci/bench ./build/bench/bench_comm_volume >/dev/null
   EPI_BENCH_JSON=build/obs-ci/bench \

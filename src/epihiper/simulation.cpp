@@ -36,29 +36,33 @@ static_assert(std::is_trivially_copyable_v<IsolationRequest>);
 
 const char* exchange_mode_name(ExchangeMode mode) {
   switch (mode) {
-    case ExchangeMode::kGhostDelta: return "ghost";
-    case ExchangeMode::kBroadcast: return "broadcast";
-    case ExchangeMode::kEvent: return "event";
     case ExchangeMode::kAdaptive: return "adaptive";
+    case ExchangeMode::kBroadcast: return "broadcast";
   }
   return "unknown";
 }
 
-ExchangeMode parse_exchange_mode(std::string_view name) {
-  if (name == "ghost") return ExchangeMode::kGhostDelta;
-  if (name == "broadcast") return ExchangeMode::kBroadcast;
-  if (name == "event") return ExchangeMode::kEvent;
+namespace {
+// `origin` prefixes the error so it names where the text came from.
+ExchangeMode parse_exchange_mode_from(std::string_view name,
+                                      std::string_view origin) {
   if (name == "adaptive") return ExchangeMode::kAdaptive;
-  EPI_REQUIRE(false, "unknown exchange mode '"
-                         << name
-                         << "' (expected broadcast|ghost|event|adaptive)");
-  return ExchangeMode::kGhostDelta;  // unreachable
+  if (name == "broadcast") return ExchangeMode::kBroadcast;
+  EPI_REQUIRE(false, origin << "'" << name
+                            << "' is not an exchange mode (expected "
+                               "adaptive|broadcast)");
+  return ExchangeMode::kAdaptive;  // unreachable
+}
+}  // namespace
+
+ExchangeMode parse_exchange_mode(std::string_view name) {
+  return parse_exchange_mode_from(name, "");
 }
 
 ExchangeMode default_exchange_mode() {
   const char* value = env_raw("EPI_EXCHANGE");
-  if (value == nullptr || value[0] == '\0') return ExchangeMode::kGhostDelta;
-  return parse_exchange_mode(value);
+  if (value == nullptr || value[0] == '\0') return ExchangeMode::kAdaptive;
+  return parse_exchange_mode_from(value, "EPI_EXCHANGE=");
 }
 
 Tick Intervention::quiescent_until(const Simulation& sim) const {
@@ -120,8 +124,6 @@ Simulation::Simulation(const ContactNetwork& network,
     }
   }
 
-  event_driven_ = config_.exchange == ExchangeMode::kEvent ||
-                  config_.exchange == ExchangeMode::kAdaptive;
   if (config_.exchange == ExchangeMode::kBroadcast) {
     // The legacy kernel's person-indexed lookup spans the whole network —
     // the O(network nodes)-per-rank cost the ghost halo replaces. Under
@@ -390,8 +392,8 @@ std::uint64_t Simulation::memory_footprint_bytes() const {
   bytes += edge_weight_scale_.capacity() * sizeof(float);
   bytes += isolated_until_.capacity() * sizeof(Tick);
   bytes += stay_home_.capacity();
-  // Broadcast mode: the O(network nodes) lookup plus the full gathered
-  // infectious set. Ghost mode: halo-sized structures only.
+  // Broadcast kernel: the O(network nodes) lookup plus the full gathered
+  // infectious set. Ghost kernel: halo-sized structures only.
   bytes += infectious_lookup_.capacity() * sizeof(std::uint32_t);
   bytes += global_infectious_.capacity() * sizeof(InfectiousInfo);
   bytes += local_infectious_.capacity() * sizeof(PersonId);
@@ -469,7 +471,7 @@ void Simulation::transition_person(PersonId p, HealthStateId new_state,
     // superseded earlier event for p (this transition pre-empted it) stays
     // queued and is shed lazily when popped (next_transition_tick no
     // longer matches).
-    if (event_driven_) {
+    if (config_.exchange == ExchangeMode::kAdaptive) {
       event_queue_.schedule(node.next_transition_tick,
                             EventKind::kProgression, p);
       ++output_.events_scheduled;
@@ -551,17 +553,10 @@ void Simulation::step_transmissions() {
   for (const PersonId p : sorted_infectious_scratch_) {
     tick_records_.push_back(infectious_record(p));
   }
-  switch (config_.exchange) {
-    case ExchangeMode::kBroadcast:
-      step_transmissions_broadcast();
-      break;
-    case ExchangeMode::kGhostDelta:
-    case ExchangeMode::kEvent:
-      step_transmissions_frontier();
-      break;
-    case ExchangeMode::kAdaptive:
-      step_transmissions_adaptive();
-      break;
+  if (config_.exchange == ExchangeMode::kBroadcast) {
+    step_transmissions_broadcast();
+  } else {
+    step_transmissions_adaptive();
   }
 }
 
@@ -908,7 +903,7 @@ void Simulation::step_transmissions_frontier() {
 }
 
 void Simulation::step_progressions() {
-  if (event_driven_) {
+  if (config_.exchange == ExchangeMode::kAdaptive) {
     step_progressions_events();
     return;
   }
@@ -998,7 +993,7 @@ SimOutput Simulation::run() {
     output_.seconds_per_tick.push_back(tick_timer.elapsed_seconds());
     ++output_.ticks_executed;
 
-    if (!event_driven_) {
+    if (config_.exchange == ExchangeMode::kBroadcast) {
       ++tick_;
       continue;
     }

@@ -27,13 +27,13 @@
 // rescanning every person every tick, and globally quiescent tick ranges
 // — empty frontier, empty queues, no pending seeds / interventions /
 // isolation requests on any rank, agreed via an mpilite min-allreduce —
-// are skipped without touching person state. ExchangeMode::kAdaptive
-// additionally re-picks broadcast vs ghost-delta each executed tick from
-// the global frontier density. The legacy broadcast-everything kernel
-// (allgatherv of the full infectious set + full person/edge rescan,
-// ExchangeMode::kBroadcast) and the scan-based ghost mode (kGhostDelta)
-// are retained as A/B baselines; all modes draw identical RNG streams and
-// produce byte-identical epidemic output (tested).
+// are skipped without touching person state. Each executed tick re-picks
+// the broadcast or the ghost-delta kernel from the global frontier
+// density (ExchangeMode::kAdaptive, the production path). The legacy
+// broadcast-everything mode (allgatherv of the full infectious set + full
+// person/edge rescan + per-person progression scan, ExchangeMode::
+// kBroadcast) is retained as the reference; both modes draw identical RNG
+// streams and produce byte-identical epidemic output (tested).
 //
 // All randomness is keyed by (seed, replicate, person, tick) — stateless
 // streams, no draw ever depends on a previous draw's position — which
@@ -82,36 +82,34 @@ struct SeedSpec {
 };
 
 /// How ranks learn about remote infectious contacts each tick, and whether
-/// the engine runs tick-driven (scan) or event-driven (queue + skip).
-/// Every mode produces byte-identical epidemic output (tested); they
-/// differ only in wire traffic and per-tick compute.
+/// the engine runs event-driven (queue + skip) or tick-driven (scan). Both
+/// modes produce byte-identical epidemic output (tested); they differ only
+/// in wire traffic and per-tick compute.
 enum class ExchangeMode : std::uint8_t {
-  /// Ghost-list halo exchange of boundary infectious *deltas* plus the
-  /// push-based candidate frontier; per-tick progression scan.
-  kGhostDelta,
-  /// Legacy baseline: allgatherv the full infectious set to every rank and
-  /// rescan every local person and in-edge. Kept for A/B benchmarking and
-  /// the byte-identity tests.
-  kBroadcast,
-  /// Event-driven core (the production mode): ghost-delta exchange,
-  /// progressions from the timed-event queue, quiescent tick ranges
-  /// skipped under a global min-allreduce agreement.
-  kEvent,
-  /// Event-driven core with a per-executed-tick broadcast-vs-ghost switch
-  /// keyed on global frontier density (DESIGN.md §14); the decision is an
-  /// allreduced count, so it is deterministic and rank-identical.
+  /// The production path: progressions from the timed-event queue,
+  /// quiescent tick ranges skipped under a global min-allreduce agreement,
+  /// and a per-executed-tick switch between the broadcast kernel and the
+  /// ghost-delta halo + push frontier kernel, keyed on global frontier
+  /// density (DESIGN.md §14). The switch input is an allreduced count, so
+  /// it is deterministic and rank-identical.
   kAdaptive,
+  /// Reference: allgatherv the full infectious set to every rank, rescan
+  /// every local person and in-edge, and scan every person for due
+  /// progressions, every tick. Kept for the byte-identity tests and A/B
+  /// benchmarking.
+  kBroadcast,
 };
 
-/// Canonical lowercase name ("ghost", "broadcast", "event", "adaptive").
+/// Canonical lowercase name ("adaptive", "broadcast").
 const char* exchange_mode_name(ExchangeMode mode);
 
 /// Inverse of exchange_mode_name; throws epi::Error on unknown names.
 ExchangeMode parse_exchange_mode(std::string_view name);
 
-/// The mode SimulationConfig defaults to: EPI_EXCHANGE when set (one of
-/// broadcast|ghost|event|adaptive), else kGhostDelta. Callers that assign
-/// config.exchange explicitly (A/B benches, mode tests) are unaffected.
+/// The mode SimulationConfig defaults to: EPI_EXCHANGE when set (adaptive
+/// or broadcast; anything else throws epi::Error naming the variable),
+/// else kAdaptive. Callers that assign config.exchange explicitly (A/B
+/// benches, mode tests) are unaffected.
 ExchangeMode default_exchange_mode();
 
 struct SimulationConfig {
@@ -139,19 +137,19 @@ struct SimOutput {
   std::uint64_t total_infections = 0;
   std::uint64_t communication_bytes = 0;  // mpilite traffic (scaling model)
   /// Bytes of per-tick ghost-delta payload this rank sent (a subset of
-  /// communication_bytes; zero in broadcast mode and serial runs).
+  /// communication_bytes; zero in broadcast mode, on adaptive broadcast
+  /// ticks and in serial runs).
   std::uint64_t ghost_exchange_bytes = 0;
   /// Per-tick count of candidate edges the transmission kernel evaluated —
-  /// the frontier size. Semantics per mode:
-  ///   kGhostDelta — edges pushed from currently-infectious sources (local
-  ///     + ghost) into this rank's partition;
-  ///   kBroadcast  — every in-edge of every susceptible local person (the
+  /// the frontier size. Semantics per kernel:
+  ///   broadcast — every in-edge of every susceptible local person (the
   ///     full rescan), counted whether or not its source is infectious;
-  ///   kEvent      — as kGhostDelta on executed ticks, exactly 0 on
-  ///     skipped ticks (nothing is touched);
-  ///   kAdaptive   — per tick, whichever kernel the density switch picked
-  ///     (so the series is a mix of the two counting rules; use
-  ///     broadcast_ticks/ghost_ticks below to attribute them).
+  ///   ghost     — edges pushed from currently-infectious sources (local
+  ///     + ghost) into this rank's partition.
+  /// kBroadcast runs the broadcast kernel every tick. kAdaptive runs
+  /// whichever kernel the density switch picked (so the series mixes the
+  /// two counting rules; broadcast_ticks/ghost_ticks below attribute
+  /// them) and records exactly 0 on skipped ticks (nothing is touched).
   std::vector<std::uint64_t> frontier_edges_per_tick;
   /// Computational work performed by this rank: edge propensity
   /// evaluations plus per-node scans. On a dedicated-core machine,
@@ -162,7 +160,7 @@ struct SimOutput {
   /// compute-bound critical path.
   std::uint64_t max_rank_work_units = 0;
 
-  // --- Event-driven-core accounting (zero under the legacy modes) --------
+  // --- Event-driven-core accounting (zero under kBroadcast) --------------
   /// Progression events pushed into the timed-event queue.
   std::uint64_t events_scheduled = 0;
   /// Events popped and fired (the progression actually happened).
@@ -336,14 +334,14 @@ class Simulation {
   };
 
   void seed_infections();
-  /// Mode dispatch for the transmission step. All modes first snapshot the
-  /// local infectious records in ascending person order (tick_records_).
-  /// kBroadcast runs the full-rescan kernel; kGhostDelta and kEvent run
-  /// the push-based frontier kernel (with the halo exchange in parallel
-  /// runs); kAdaptive re-picks one of the two kernels per executed tick
-  /// from the allreduced global infectious count — see
-  /// step_transmissions_adaptive for the switch and the halo resync that
-  /// keeps ghost state consistent across kernel changes.
+  /// Mode dispatch for the transmission step. Both modes first snapshot
+  /// the local infectious records in ascending person order
+  /// (tick_records_). kBroadcast runs the full-rescan kernel; kAdaptive
+  /// re-picks the full-rescan or the push-based frontier kernel (with the
+  /// halo exchange in parallel runs) per executed tick from the allreduced
+  /// global infectious count — see step_transmissions_adaptive for the
+  /// switch and the halo resync that keeps ghost state consistent across
+  /// kernel changes.
   void step_transmissions();
   void step_transmissions_broadcast();
   void step_transmissions_frontier();
@@ -360,6 +358,7 @@ class Simulation {
   /// Collective in effect: all ranks reset on the same tick because the
   /// adaptive decision is global.
   void reset_ghost_halo();
+  /// kBroadcast: the per-person scan; kAdaptive: the timed-event queue.
   void step_progressions();
   void step_progressions_events();
   void apply_interventions();
@@ -412,11 +411,12 @@ class Simulation {
   std::vector<PersonId> local_infectious_;       // unordered members
   std::vector<std::uint32_t> local_infectious_pos_;  // local idx -> pos+1
 
-  // --- Broadcast-mode state (allocated only under kBroadcast) ------------
+  // --- Broadcast-kernel state (kBroadcast; kAdaptive's first broadcast
+  // tick allocates it lazily) ----------------------------------------------
   std::vector<InfectiousInfo> global_infectious_;
   std::vector<std::uint32_t> infectious_lookup_;  // person -> index+1, 0=none
 
-  // --- Ghost-list halo state (allocated only under kGhostDelta) ----------
+  // --- Ghost-list halo state (allocated only in parallel kAdaptive runs) --
   std::vector<PersonId> ghost_persons_;        // sorted remote in-edge sources
   std::vector<InfectiousInfo> ghost_records_;  // per ghost; kNoState = absent
   std::vector<std::uint32_t> ghost_active_;      // ghost indices, unordered
@@ -429,11 +429,10 @@ class Simulation {
   // diff against the current records yields the delta traffic.
   std::vector<InfectiousInfo> advertised_;
 
-  // --- Event-driven core (kEvent / kAdaptive only) -----------------------
-  bool event_driven_ = false;   // progressions from the queue + tick skipping
+  // --- Event-driven core (kAdaptive only) --------------------------------
   EventQueue event_queue_;
   std::vector<Tick> seed_ticks_;  // sorted unique pending-seed ticks
-  // kAdaptive: whether the advertised/ghost halo matches what subscribers
+  // Whether the advertised/ghost halo matches what subscribers
   // last received; false after a broadcast tick (no deltas flowed), forcing
   // reset_ghost_halo() before the next ghost-kernel exchange.
   bool ghost_halo_synced_ = true;

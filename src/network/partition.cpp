@@ -59,17 +59,37 @@ void Partitioning::save(const std::string& path) const {
 }
 
 Partitioning Partitioning::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) throw ConfigError("cannot read partition cache: " + path);
+  const auto file_bytes = static_cast<std::uint64_t>(in.tellg());
+  in.seekg(0);
   std::uint64_t magic = 0, count = 0;
   in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
   in.read(reinterpret_cast<char*>(&count), sizeof(count));
   EPI_REQUIRE(in.good() && magic == kPartitionMagic,
               "not a partition cache file: " << path);
+  // Size the parts from the file, never from the header's count alone: a
+  // corrupt count must not drive the allocation, and trailing bytes mean
+  // the file is not what save() wrote.
+  const std::uint64_t payload = file_bytes - 2 * sizeof(std::uint64_t);
+  EPI_REQUIRE(count > 0 && payload % sizeof(Partition) == 0 &&
+                  payload / sizeof(Partition) == count,
+              "partition cache " << path << " declares " << count
+                                 << " parts but holds " << payload
+                                 << " payload bytes");
   std::vector<Partition> parts(count);
   in.read(reinterpret_cast<char*>(parts.data()),
-          static_cast<std::streamsize>(count * sizeof(Partition)));
+          static_cast<std::streamsize>(payload));
   EPI_REQUIRE(in.good(), "truncated partition cache: " << path);
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    const Partition& part = parts[i];
+    EPI_REQUIRE(part.node_begin <= part.node_end &&
+                    part.edge_begin <= part.edge_end &&
+                    (i == 0 || (part.node_begin == parts[i - 1].node_end &&
+                                part.edge_begin == parts[i - 1].edge_end)),
+                "partition cache " << path << ": part " << i
+                                   << " does not tile the ranges");
+  }
   return Partitioning(std::move(parts));
 }
 
@@ -218,7 +238,23 @@ Partitioning partition_with_cache(const ContactNetwork& network,
       partition_cache_filename(network, num_partitions, epsilon);
   if (fs::exists(path)) {
     if (cache_hit != nullptr) *cache_hit = true;
-    return Partitioning::load(path.string());
+    Partitioning cached = Partitioning::load(path.string());
+    // load() proved the parts tile; they must also cover exactly this
+    // network and cut it at node boundaries of its in-edge CSR, or edge
+    // ranges reach past edge_count() in compute_ghost_sources/Simulation.
+    const std::vector<Partition>& parts = cached.parts();
+    EPI_REQUIRE(parts.front().node_begin == 0 &&
+                    parts.front().edge_begin == 0 &&
+                    parts.back().node_end == network.node_count() &&
+                    parts.back().edge_end == network.edge_count(),
+                "partition cache " << path.string()
+                                   << " does not cover the network");
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+      EPI_REQUIRE(parts[i].edge_begin == network.in_begin(parts[i].node_begin),
+                  "partition cache " << path.string() << ": part " << i
+                                     << " splits a node's in-edges");
+    }
+    return cached;
   }
   if (cache_hit != nullptr) *cache_hit = false;
   Partitioning result = partition_network(network, num_partitions, epsilon);

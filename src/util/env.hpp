@@ -50,7 +50,7 @@ inline constexpr EnvVarInfo kEnvRegistry[] = {
      "metrics are byte-reproducible"},
     {"EPI_EXCHANGE",
      "default exchange mode for simulations that do not set one "
-     "explicitly: broadcast, ghost (default), event, or adaptive"},
+     "explicitly: adaptive (default) or broadcast (the reference)"},
     {"EPI_JOBS",
      "engine-farm worker threads (positive int; 1 = the exact serial seed "
      "path)"},

@@ -1,13 +1,14 @@
 // Event-driven transmission core: event-queue ordering determinism, serial
-// and parallel byte-identity of the event mode against both legacy
-// exchange modes, quiescence tick-skipping, and the adaptive
-// broadcast/ghost switch.
+// and parallel byte-identity of the adaptive mode against the broadcast
+// reference (with and without interventions), quiescence tick-skipping,
+// the adaptive broadcast/ghost switch, and EPI_EXCHANGE wiring.
 #include "epihiper/event_queue.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -147,36 +148,100 @@ void expect_same_epidemic(const SimOutput& a, const SimOutput& b) {
   }
 }
 
-SimOutput run_mode(ExchangeMode mode, Tick ticks = 60,
+// Parallel runs merge per-rank logs, so transitions compare as multisets.
+void expect_same_epidemic_unordered(const SimOutput& a, const SimOutput& b) {
+  EXPECT_EQ(a.total_infections, b.total_infections);
+  EXPECT_EQ(a.new_infections_per_tick, b.new_infections_per_tick);
+  EXPECT_EQ(a.final_states, b.final_states);
+  ASSERT_EQ(a.transitions.size(), b.transitions.size());
+  auto key = [](const TransitionEvent& e) {
+    return std::tuple(e.tick, e.person, e.exit_state, e.infector);
+  };
+  std::vector<std::tuple<Tick, PersonId, HealthStateId, PersonId>> x, y;
+  for (const auto& e : a.transitions) x.push_back(key(e));
+  for (const auto& e : b.transitions) y.push_back(key(e));
+  std::sort(x.begin(), x.end());
+  std::sort(y.begin(), y.end());
+  EXPECT_EQ(x, y);
+}
+
+SimOutput run_mode(ExchangeMode mode,
+                   const DiseaseModel& model = covid_model(), Tick ticks = 60,
                    const InterventionFactory& factory = nullptr) {
   SimulationConfig config = base_config(ticks);
   config.exchange = mode;
   return run_simulation(test_region().network, test_region().population,
-                        covid_model(), config, factory);
+                        model, config, factory);
+}
+
+// Slow-burning input: concurrent infectious stays below the adaptive
+// density switch for the whole run, so every executed tick is a ghost tick.
+DiseaseModel slow_model() {
+  CovidParams params;
+  params.transmissibility = 0.08;
+  return covid_model(params);
+}
+
+// Runs `ranks`-way adaptive against the serial broadcast reference on the
+// same input, checks that both define the same epidemic, and returns the
+// parallel output for mode-specific checks.
+SimOutput parallel_adaptive_vs_serial(int ranks, const DiseaseModel& model,
+                                      Tick ticks,
+                                      const InterventionFactory& factory =
+                                          nullptr) {
+  SimulationConfig config = base_config(ticks);
+  config.exchange = ExchangeMode::kBroadcast;
+  const SimOutput serial = run_simulation(
+      test_region().network, test_region().population, model, config, factory);
+  config.exchange = ExchangeMode::kAdaptive;
+  const Partitioning parts =
+      partition_network(test_region().network, static_cast<std::size_t>(ranks));
+  SimOutput parallel =
+      run_simulation_parallel(test_region().network, test_region().population,
+                              model, config, parts, ranks, factory);
+  expect_same_epidemic_unordered(parallel, serial);
+  return parallel;
 }
 
 // --- Serial byte-identity -------------------------------------------------
 
-// The event-driven core must replay the per-tick scan byte for byte — the
-// exact transition sequence, order included — against both legacy modes.
-TEST(EventCore, SerialEventMatchesBothLegacyModesByteForByte) {
-  const SimOutput event = run_mode(ExchangeMode::kEvent);
+// The adaptive mode must replay the broadcast reference byte for byte — the
+// exact transition sequence, order included, not just the multiset. This is
+// the RNG-ordering invariant both the frontier kernel and the event queue
+// are built around.
+TEST(EventCore, SerialAdaptiveMatchesBroadcastByteForByte) {
+  const SimOutput adaptive = run_mode(ExchangeMode::kAdaptive);
   const SimOutput bcast = run_mode(ExchangeMode::kBroadcast);
-  const SimOutput ghost = run_mode(ExchangeMode::kGhostDelta);
-  expect_same_epidemic(event, bcast);
-  expect_same_epidemic(event, ghost);
-  EXPECT_GT(event.events_scheduled, 0u);
-  EXPECT_GT(event.events_fired, 0u);
-  EXPECT_EQ(event.ticks_executed + event.ticks_skipped, 60u);
-  // Legacy modes never skip and schedule no events.
+  expect_same_epidemic(adaptive, bcast);
+  EXPECT_GT(adaptive.events_scheduled, 0u);
+  EXPECT_GT(adaptive.events_fired, 0u);
+  EXPECT_EQ(adaptive.ticks_executed + adaptive.ticks_skipped, 60u);
+  // The reference never skips and schedules no events.
   EXPECT_EQ(bcast.events_scheduled, 0u);
   EXPECT_EQ(bcast.ticks_skipped, 0u);
-  EXPECT_EQ(ghost.ticks_skipped, 0u);
+}
+
+// The same byte-identity on the slow-burning input, where adaptive runs the
+// frontier kernel on every executed tick.
+TEST(ExchangeMode, SerialFrontierMatchesBroadcastByteForByte) {
+  const SimOutput frontier = run_mode(ExchangeMode::kAdaptive, slow_model());
+  const SimOutput bcast = run_mode(ExchangeMode::kBroadcast, slow_model());
+  expect_same_epidemic(frontier, bcast);
+  EXPECT_EQ(frontier.ghost_ticks, frontier.ticks_executed);
+  // Serial runs exchange nothing.
+  EXPECT_EQ(frontier.ghost_exchange_bytes, 0u);
+  EXPECT_EQ(bcast.ghost_exchange_bytes, 0u);
+  // The frontier evaluates strictly fewer edges than the full rescan once
+  // any tick has a susceptible person without infectious contacts.
+  std::uint64_t frontier_total = 0, rescan_total = 0;
+  for (const auto v : frontier.frontier_edges_per_tick) frontier_total += v;
+  for (const auto v : bcast.frontier_edges_per_tick) rescan_total += v;
+  EXPECT_LT(frontier_total, rescan_total);
 }
 
 TEST(EventCore, SameSeedSameEventOrderAcrossRuns) {
-  const SimOutput a = run_mode(ExchangeMode::kEvent);
-  const SimOutput b = run_mode(ExchangeMode::kEvent);
+  const SimOutput a = run_mode(ExchangeMode::kAdaptive);
+  const SimOutput b = run_mode(ExchangeMode::kAdaptive);
   expect_same_epidemic(a, b);
   EXPECT_EQ(a.events_scheduled, b.events_scheduled);
   EXPECT_EQ(a.events_fired, b.events_fired);
@@ -184,60 +249,76 @@ TEST(EventCore, SameSeedSameEventOrderAcrossRuns) {
   EXPECT_EQ(a.ticks_skipped, b.ticks_skipped);
 }
 
-// --- Parallel byte-identity (suite name carries "Parallel" so the
-// CommChecker CI lane re-runs these under EPI_MPILITE_CHECK=1) -------------
+// --- Parallel byte-identity (the CommChecker CI lane re-runs suites named
+// *Parallel* or *Equivalence under EPI_MPILITE_CHECK=1) ---------------------
 
+// The partition-invariance property for the production path, rank sweep
+// including 1: parallel adaptive output matches the serial broadcast
+// reference exactly, both on the default input and on the slow-burning one
+// that keeps every rank on the ghost-list halo for the whole run.
 class EventParallelEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(EventParallelEquivalence, MatchesSerialBroadcast) {
-  const int ranks = GetParam();
-  const DiseaseModel model = covid_model();
-  SimulationConfig serial_config = base_config(40);
-  serial_config.exchange = ExchangeMode::kBroadcast;
-  const SimOutput serial = run_simulation(
-      test_region().network, test_region().population, model, serial_config);
-  const Partitioning parts =
-      partition_network(test_region().network, static_cast<std::size_t>(ranks));
-  SimulationConfig event_config = base_config(40);
-  event_config.exchange = ExchangeMode::kEvent;
   const SimOutput parallel =
-      run_simulation_parallel(test_region().network, test_region().population,
-                              model, event_config, parts, ranks);
-  EXPECT_EQ(parallel.total_infections, serial.total_infections);
-  EXPECT_EQ(parallel.new_infections_per_tick, serial.new_infections_per_tick);
-  EXPECT_EQ(parallel.final_states, serial.final_states);
-  ASSERT_EQ(parallel.transitions.size(), serial.transitions.size());
-  auto key = [](const TransitionEvent& e) {
-    return std::tuple(e.tick, e.person, e.exit_state, e.infector);
-  };
-  std::vector<std::tuple<Tick, PersonId, HealthStateId, PersonId>> s, p;
-  for (const auto& e : serial.transitions) s.push_back(key(e));
-  for (const auto& e : parallel.transitions) p.push_back(key(e));
-  std::sort(s.begin(), s.end());
-  std::sort(p.begin(), p.end());
-  EXPECT_EQ(s, p);
+      parallel_adaptive_vs_serial(GetParam(), covid_model(), 40);
   EXPECT_EQ(parallel.ticks_executed + parallel.ticks_skipped, 40u);
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, EventParallelEquivalence,
                          ::testing::Values(1, 2, 4, 8));
 
+class GhostEquivalence : public ::testing::TestWithParam<int> {};
+
+TEST_P(GhostEquivalence, MatchesSerialBroadcast) {
+  const int ranks = GetParam();
+  const SimOutput parallel = parallel_adaptive_vs_serial(ranks, slow_model(), 60);
+  EXPECT_EQ(parallel.ghost_ticks, parallel.ticks_executed);
+  EXPECT_EQ(parallel.ghost_exchange_bytes > 0, ranks > 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(RankCounts, GhostEquivalence,
+                         ::testing::Values(1, 2, 4, 8));
+
+// On the same partitioning and the slow-burning input, the halo moves
+// strictly fewer bytes than broadcasting the full infectious set every
+// tick. Every executed tick is a ghost tick, so the whole-run totals
+// compare the two exchanges directly; 200 ticks repay the one-time
+// subscription handshake.
+TEST(ExchangeMode, GhostDeltaMovesFewerBytesThanBroadcast) {
+  const Partitioning parts = partition_network(test_region().network, 4);
+  SimulationConfig config = base_config(200);
+  config.exchange = ExchangeMode::kAdaptive;
+  const SimOutput g =
+      run_simulation_parallel(test_region().network, test_region().population,
+                              slow_model(), config, parts, 4);
+  config.exchange = ExchangeMode::kBroadcast;
+  const SimOutput b =
+      run_simulation_parallel(test_region().network, test_region().population,
+                              slow_model(), config, parts, 4);
+  expect_same_epidemic_unordered(g, b);
+  EXPECT_EQ(g.ghost_ticks, g.ticks_executed);
+  EXPECT_GT(g.ghost_exchange_bytes, 0u);
+  EXPECT_EQ(b.ghost_exchange_bytes, 0u);
+  EXPECT_LT(g.ghost_exchange_bytes, b.communication_bytes);
+  EXPECT_LT(g.communication_bytes, b.communication_bytes);
+}
+
 // --- Quiescence skipping --------------------------------------------------
 
 // Seeds landing late leave a long dormant prefix: the event core must jump
-// over it without touching person state and still match the legacy scan.
+// over it without touching person state and still match the per-tick scan.
 TEST(EventCore, SkipsDormantPrefixBeforeLateSeeds) {
-  SimulationConfig legacy_config = base_config(60);
-  legacy_config.seeds = {SeedSpec{0, 10, 30}};  // county 0, 10 seeds, tick 30
-  legacy_config.exchange = ExchangeMode::kGhostDelta;
-  SimulationConfig event_config = legacy_config;
-  event_config.exchange = ExchangeMode::kEvent;
+  SimulationConfig scan_config = base_config(60);
+  scan_config.seeds = {SeedSpec{0, 10, 30}};  // county 0, 10 seeds, tick 30
+  scan_config.exchange = ExchangeMode::kBroadcast;
+  SimulationConfig event_config = scan_config;
+  event_config.exchange = ExchangeMode::kAdaptive;
   const DiseaseModel model = covid_model();
-  const SimOutput legacy = run_simulation(
-      test_region().network, test_region().population, model, legacy_config);
+  const SimOutput scan = run_simulation(
+      test_region().network, test_region().population, model, scan_config);
   const SimOutput event = run_simulation(
       test_region().network, test_region().population, model, event_config);
-  expect_same_epidemic(event, legacy);
+  expect_same_epidemic(event, scan);
   // Ticks 1..29 are globally dormant (tick 0 always executes); the dormant
   // gap must be skipped, not scanned.
   EXPECT_GE(event.ticks_skipped, 29u);
@@ -254,7 +335,7 @@ TEST(EventCore, SkipsQuiescentTailAfterEpidemicDies) {
   params.transmissibility = 0.0;
   const DiseaseModel model = covid_model(params);
   SimulationConfig config = base_config(200);
-  config.exchange = ExchangeMode::kEvent;
+  config.exchange = ExchangeMode::kAdaptive;
   const SimOutput out = run_simulation(test_region().network,
                                        test_region().population, model, config);
   EXPECT_EQ(out.total_infections, 0u);
@@ -287,7 +368,7 @@ TEST(EventCore, QuiescentUntilHintsGateInterventionWakeups) {
   std::vector<Tick> applied_at;
   SimulationConfig config = base_config(30);
   config.seeds.clear();
-  config.exchange = ExchangeMode::kEvent;
+  config.exchange = ExchangeMode::kAdaptive;
   auto factory = [&applied_at] {
     return std::vector<std::shared_ptr<Intervention>>{
         std::make_shared<ScheduledProbe>(20, &applied_at)};
@@ -306,7 +387,7 @@ TEST(EventCore, DefaultInterventionHintBlocksSkipping) {
   std::vector<Tick> applied_at;
   SimulationConfig config = base_config(30);
   config.seeds.clear();
-  config.exchange = ExchangeMode::kEvent;
+  config.exchange = ExchangeMode::kAdaptive;
   auto factory = [] {
     return std::vector<std::shared_ptr<Intervention>>{
         std::make_shared<VoluntaryHomeIsolation>(
@@ -333,80 +414,103 @@ InterventionFactory stacked_interventions() {
   };
 }
 
-TEST(EventCore, SerialAdaptiveMatchesBothFixedModesUnderInterventions) {
+TEST(EventCore, SerialAdaptiveMatchesBroadcastUnderInterventions) {
   CovidParams params;
   // Hot enough that concurrent infectious crosses the adaptive density
   // threshold even with the intervention stack suppressing spread.
   params.transmissibility = 0.5;
   const DiseaseModel model = covid_model(params);
-  auto run_with = [&model](ExchangeMode mode) {
-    SimulationConfig config = base_config(50);
-    config.exchange = mode;
-    return run_simulation(test_region().network, test_region().population,
-                          model, config, stacked_interventions());
-  };
-  const SimOutput adaptive = run_with(ExchangeMode::kAdaptive);
-  const SimOutput bcast = run_with(ExchangeMode::kBroadcast);
-  const SimOutput ghost = run_with(ExchangeMode::kGhostDelta);
+  const SimOutput adaptive =
+      run_mode(ExchangeMode::kAdaptive, model, 50, stacked_interventions());
+  const SimOutput bcast =
+      run_mode(ExchangeMode::kBroadcast, model, 50, stacked_interventions());
   expect_same_epidemic(adaptive, bcast);
-  expect_same_epidemic(adaptive, ghost);
   // The epidemic starts sparse and grows past the density threshold, so
   // the run must genuinely exercise both kernels.
   EXPECT_GT(adaptive.ghost_ticks, 0u);
   EXPECT_GT(adaptive.broadcast_ticks, 0u);
 }
 
+// The hard case for the halo: contact tracing isolates *remote* persons
+// (exercising the owner-routed isolation path) and isolation flips the
+// advertised records of still-infectious persons (exercising the
+// changed-record deltas, not just became/left). The partitioned adaptive
+// run must match the serial broadcast reference on every output the
+// epidemic defines: on a hot input across kernel switches in both
+// directions, and on a milder one that stays on the halo throughout.
 class AdaptiveParallelEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(AdaptiveParallelEquivalence, MatchesSerialBroadcastUnderInterventions) {
   const int ranks = GetParam();
   CovidParams params;
-  params.transmissibility = 0.25;
-  const DiseaseModel model = covid_model(params);
-  SimulationConfig serial_config = base_config(50);
-  serial_config.exchange = ExchangeMode::kBroadcast;
-  const SimOutput serial =
-      run_simulation(test_region().network, test_region().population, model,
-                     serial_config, stacked_interventions());
-  const Partitioning parts =
-      partition_network(test_region().network, static_cast<std::size_t>(ranks));
-  SimulationConfig adaptive_config = base_config(50);
-  adaptive_config.exchange = ExchangeMode::kAdaptive;
-  const SimOutput parallel = run_simulation_parallel(
-      test_region().network, test_region().population, model, adaptive_config,
-      parts, ranks, stacked_interventions());
-  EXPECT_EQ(parallel.total_infections, serial.total_infections);
-  EXPECT_EQ(parallel.new_infections_per_tick, serial.new_infections_per_tick);
-  EXPECT_EQ(parallel.final_states, serial.final_states);
+  params.transmissibility = 0.5;
+  const SimOutput parallel = parallel_adaptive_vs_serial(
+      ranks, covid_model(params), 50, stacked_interventions());
+  EXPECT_GT(parallel.ghost_ticks, 0u);
+  EXPECT_GT(parallel.broadcast_ticks, 0u);
+  EXPECT_EQ(parallel.ghost_exchange_bytes > 0, ranks > 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, AdaptiveParallelEquivalence,
-                         ::testing::Values(2, 4, 8));
+                         ::testing::Values(1, 2, 4, 8));
+
+class GhostHaloInterventionEquivalence
+    : public ::testing::TestWithParam<int> {};
+
+TEST_P(GhostHaloInterventionEquivalence, MatchesSerialBroadcast) {
+  const int ranks = GetParam();
+  CovidParams params;
+  params.transmissibility = 0.25;
+  const SimOutput parallel = parallel_adaptive_vs_serial(
+      ranks, covid_model(params), 50, stacked_interventions());
+  EXPECT_EQ(parallel.ghost_ticks, parallel.ticks_executed);
+  EXPECT_EQ(parallel.ghost_exchange_bytes > 0, ranks > 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(RankCounts, GhostHaloInterventionEquivalence,
+                         ::testing::Values(1, 2, 4, 8));
 
 // --- EPI_EXCHANGE wiring --------------------------------------------------
 
 TEST(EventCore, ExchangeModeNamesRoundTrip) {
-  for (ExchangeMode mode :
-       {ExchangeMode::kBroadcast, ExchangeMode::kGhostDelta,
-        ExchangeMode::kEvent, ExchangeMode::kAdaptive}) {
+  for (ExchangeMode mode : {ExchangeMode::kAdaptive, ExchangeMode::kBroadcast}) {
     EXPECT_EQ(parse_exchange_mode(exchange_mode_name(mode)), mode);
   }
   EXPECT_THROW(parse_exchange_mode("banana"), Error);
 }
 
 TEST(EventCore, EnvOverrideSetsDefaultExchangeMode) {
-  ASSERT_EQ(::setenv("EPI_EXCHANGE", "event", 1), 0);
-  EXPECT_EQ(default_exchange_mode(), ExchangeMode::kEvent);
-  EXPECT_EQ(SimulationConfig{}.exchange, ExchangeMode::kEvent);
+  ASSERT_EQ(::unsetenv("EPI_EXCHANGE"), 0);
+  EXPECT_EQ(default_exchange_mode(), ExchangeMode::kAdaptive);
+  EXPECT_EQ(SimulationConfig{}.exchange, ExchangeMode::kAdaptive);
   ASSERT_EQ(::setenv("EPI_EXCHANGE", "broadcast", 1), 0);
   EXPECT_EQ(default_exchange_mode(), ExchangeMode::kBroadcast);
-  ASSERT_EQ(::unsetenv("EPI_EXCHANGE"), 0);
-  EXPECT_EQ(default_exchange_mode(), ExchangeMode::kGhostDelta);
+  EXPECT_EQ(SimulationConfig{}.exchange, ExchangeMode::kBroadcast);
   // An explicit assignment always wins over the env default.
-  ASSERT_EQ(::setenv("EPI_EXCHANGE", "adaptive", 1), 0);
   SimulationConfig config;
-  config.exchange = ExchangeMode::kBroadcast;
-  EXPECT_EQ(config.exchange, ExchangeMode::kBroadcast);
+  config.exchange = ExchangeMode::kAdaptive;
+  EXPECT_EQ(config.exchange, ExchangeMode::kAdaptive);
+  ASSERT_EQ(::unsetenv("EPI_EXCHANGE"), 0);
+}
+
+// The retired ghost-only and event-only modes are not silently mapped onto
+// a surviving one: the error names the variable, the value and the modes
+// that exist.
+TEST(EventCore, RetiredExchangeModesRejected) {
+  for (const char* retired : {"ghost", "event"}) {
+    ASSERT_EQ(::setenv("EPI_EXCHANGE", retired, 1), 0);
+    try {
+      default_exchange_mode();
+      ADD_FAILURE() << "EPI_EXCHANGE=" << retired << " was accepted";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("EPI_EXCHANGE='") + retired + "'"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("adaptive|broadcast"), std::string::npos) << what;
+    }
+    EXPECT_THROW(parse_exchange_mode(retired), Error);
+  }
   ASSERT_EQ(::unsetenv("EPI_EXCHANGE"), 0);
 }
 

@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <tuple>
-
 #include "epihiper/parallel.hpp"
 #include "synthpop/generator.hpp"
 #include "util/error.hpp"
@@ -259,62 +256,6 @@ TEST_P(InterventionParallelEquivalence, MatchesSerial) {
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, InterventionParallelEquivalence,
                          ::testing::Values(2, 4));
-
-// Ghost-halo exchange under intervention load: contact tracing isolates
-// *remote* persons (exercising the owner-routed isolation path) and
-// isolation flips the advertised records of still-infectious persons
-// (exercising the changed-record deltas, not just became/left). The
-// partitioned ghost-delta run must match the serial broadcast reference
-// on every output the epidemic defines.
-class GhostHaloInterventionEquivalence : public ::testing::TestWithParam<int> {
-};
-
-TEST_P(GhostHaloInterventionEquivalence, MatchesSerialBroadcast) {
-  const int ranks = GetParam();
-  CovidParams params;
-  params.transmissibility = 0.25;
-  const DiseaseModel model = covid_model(params);
-  auto factory = [] {
-    return std::vector<std::shared_ptr<Intervention>>{
-        std::make_shared<VoluntaryHomeIsolation>(
-            VoluntaryHomeIsolation::Config{0.7, 14, 0}),
-        std::make_shared<SchoolClosure>(SchoolClosure::Config{10, 60}),
-        std::make_shared<StayAtHome>(StayAtHome::Config{20, 45, 0.6}),
-        std::make_shared<ContactTracing>(
-            ContactTracing::Config{2, 5, 0.5, 0.7, 10})};
-  };
-  SimulationConfig serial_config = base_config(50);
-  serial_config.exchange = ExchangeMode::kBroadcast;
-  SimulationConfig ghost_config = base_config(50);
-  ghost_config.exchange = ExchangeMode::kGhostDelta;
-  const SimOutput serial =
-      run_simulation(test_region().network, test_region().population, model,
-                     serial_config, factory);
-  const Partitioning parts =
-      partition_network(test_region().network, static_cast<std::size_t>(ranks));
-  const SimOutput parallel = run_simulation_parallel(
-      test_region().network, test_region().population, model, ghost_config,
-      parts, ranks, factory);
-  EXPECT_EQ(parallel.total_infections, serial.total_infections);
-  EXPECT_EQ(parallel.new_infections_per_tick, serial.new_infections_per_tick);
-  EXPECT_EQ(parallel.final_states, serial.final_states);
-  ASSERT_EQ(parallel.transitions.size(), serial.transitions.size());
-  auto key = [](const TransitionEvent& e) {
-    return std::tuple(e.tick, e.person, e.exit_state, e.infector);
-  };
-  std::vector<std::tuple<Tick, PersonId, HealthStateId, PersonId>> s, p;
-  for (const auto& e : serial.transitions) s.push_back(key(e));
-  for (const auto& e : parallel.transitions) p.push_back(key(e));
-  std::sort(s.begin(), s.end());
-  std::sort(p.begin(), p.end());
-  EXPECT_EQ(s, p);
-  if (ranks > 1) {
-    EXPECT_GT(parallel.ghost_exchange_bytes, 0u);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(RankCounts, GhostHaloInterventionEquivalence,
-                         ::testing::Values(1, 2, 4, 8));
 
 }  // namespace
 }  // namespace epi

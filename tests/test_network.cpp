@@ -239,6 +239,63 @@ TEST(Partition, CacheKeyedByContent) {
             partition_cache_filename(a, 4, 9));
 }
 
+// Runs `load`, which must throw an epi::Error whose message names `path`.
+template <typename Fn>
+void expect_error_naming(Fn load, const std::string& path) {
+  try {
+    load();
+    ADD_FAILURE() << "corrupt partition cache accepted: " << path;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+  }
+}
+
+// Rewrites the file at `path` with its 8-byte part count replaced.
+void overwrite_part_count(const std::string& path, std::uint64_t count) {
+  std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+  file.seekp(sizeof(std::uint64_t));
+  file.write(reinterpret_cast<const char*>(&count), sizeof(count));
+}
+
+TEST(Partition, LoadRejectsCountTheFileCannotHold) {
+  const ContactNetwork net = make_line_network(40);
+  const std::string path = "/tmp/episcale_test_partition_count.bin";
+  partition_network(net, 3).save(path);
+  // A huge count must be refused before anything is allocated for it.
+  overwrite_part_count(path, std::uint64_t{1} << 60);
+  expect_error_naming([&] { Partitioning::load(path); }, path);
+  overwrite_part_count(path, 2);
+  expect_error_naming([&] { Partitioning::load(path); }, path);
+  overwrite_part_count(path, 3);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out.put('x');  // trailing byte
+  }
+  expect_error_naming([&] { Partitioning::load(path); }, path);
+  std::filesystem::remove(path);
+}
+
+TEST(Partition, CacheRejectsPartsThatDoNotCoverTheNetwork) {
+  const ContactNetwork net = make_line_network(60);
+  const std::string cache_dir = "/tmp/episcale_test_cache_corrupt";
+  std::filesystem::remove_all(cache_dir);
+  std::filesystem::create_directories(cache_dir);
+  const std::string path =
+      cache_dir + "/" + partition_cache_filename(net, 4, 0);
+  // Parts of a smaller network: they tile, but stop short of this one.
+  partition_network(make_line_network(30), 4).save(path);
+  expect_error_naming([&] { partition_with_cache(net, 4, 0, cache_dir); },
+                      path);
+  // Parts that cover both ranges but cut through a node's in-edges.
+  const std::uint64_t mid = net.in_begin(30) + 1;
+  Partitioning({Partition{0, 30, 0, mid},
+                Partition{30, 60, mid, net.edge_count()}})
+      .save(path);
+  expect_error_naming([&] { partition_with_cache(net, 4, 0, cache_dir); },
+                      path);
+  std::filesystem::remove_all(cache_dir);
+}
+
 TEST(PartitionChunks, RoundTripPerPartition) {
   const ContactNetwork net = make_line_network(60);
   const Partitioning parts = partition_network(net, 4);

@@ -328,108 +328,6 @@ TEST_P(ParallelEquivalence, TransitionsIdenticalToSerial) {
 INSTANTIATE_TEST_SUITE_P(RankCounts, ParallelEquivalence,
                          ::testing::Values(2, 3, 5, 8));
 
-// --- Ghost-delta frontier vs legacy broadcast kernel ---------------------
-
-// Serial A/B: the frontier kernel must reproduce the legacy full-scan
-// kernel *byte for byte* — the exact transition sequence (order included),
-// not just the multiset. This is the RNG-ordering invariant the frontier
-// rewrite is built around.
-TEST(ExchangeMode, SerialFrontierMatchesBroadcastByteForByte) {
-  const DiseaseModel model = covid_model();
-  SimulationConfig ghost = base_config(60);
-  ghost.exchange = ExchangeMode::kGhostDelta;
-  SimulationConfig bcast = base_config(60);
-  bcast.exchange = ExchangeMode::kBroadcast;
-  const SimOutput a = run_simulation(test_region().network,
-                                     test_region().population, model, ghost);
-  const SimOutput b = run_simulation(test_region().network,
-                                     test_region().population, model, bcast);
-  ASSERT_EQ(a.transitions.size(), b.transitions.size());
-  for (std::size_t i = 0; i < a.transitions.size(); ++i) {
-    EXPECT_EQ(a.transitions[i].tick, b.transitions[i].tick) << "event " << i;
-    EXPECT_EQ(a.transitions[i].person, b.transitions[i].person)
-        << "event " << i;
-    EXPECT_EQ(a.transitions[i].exit_state, b.transitions[i].exit_state)
-        << "event " << i;
-    EXPECT_EQ(a.transitions[i].infector, b.transitions[i].infector)
-        << "event " << i;
-  }
-  EXPECT_EQ(a.new_infections_per_tick, b.new_infections_per_tick);
-  EXPECT_EQ(a.final_states, b.final_states);
-  EXPECT_EQ(a.total_infections, b.total_infections);
-  // Serial runs exchange nothing.
-  EXPECT_EQ(a.ghost_exchange_bytes, 0u);
-  EXPECT_EQ(b.ghost_exchange_bytes, 0u);
-  // The frontier evaluates strictly fewer edges than the full rescan once
-  // any tick has a susceptible person without infectious contacts.
-  std::uint64_t frontier_total = 0, rescan_total = 0;
-  for (const auto v : a.frontier_edges_per_tick) frontier_total += v;
-  for (const auto v : b.frontier_edges_per_tick) rescan_total += v;
-  EXPECT_LT(frontier_total, rescan_total);
-}
-
-// Parallel A/B on the same partitioning: identical epidemic, and the
-// ghost-delta halo moves strictly fewer bytes than broadcasting the full
-// infectious set every tick.
-TEST(ExchangeMode, GhostDeltaMovesFewerBytesThanBroadcast) {
-  const DiseaseModel model = covid_model();
-  const Partitioning parts = partition_network(test_region().network, 4);
-  SimulationConfig ghost = base_config(40);
-  ghost.exchange = ExchangeMode::kGhostDelta;
-  SimulationConfig bcast = base_config(40);
-  bcast.exchange = ExchangeMode::kBroadcast;
-  const SimOutput g =
-      run_simulation_parallel(test_region().network, test_region().population,
-                              model, ghost, parts, 4);
-  const SimOutput b =
-      run_simulation_parallel(test_region().network, test_region().population,
-                              model, bcast, parts, 4);
-  EXPECT_EQ(g.total_infections, b.total_infections);
-  EXPECT_EQ(g.final_states, b.final_states);
-  EXPECT_EQ(g.new_infections_per_tick, b.new_infections_per_tick);
-  EXPECT_GT(g.ghost_exchange_bytes, 0u);
-  EXPECT_EQ(b.ghost_exchange_bytes, 0u);
-  EXPECT_LT(g.ghost_exchange_bytes, b.communication_bytes);
-  EXPECT_LT(g.communication_bytes, b.communication_bytes);
-}
-
-// The partition-invariance property for the production (ghost) kernel,
-// rank sweep including 1: parallel output matches the serial broadcast
-// reference exactly.
-class GhostEquivalence : public ::testing::TestWithParam<int> {};
-
-TEST_P(GhostEquivalence, MatchesSerialBroadcast) {
-  const int ranks = GetParam();
-  const DiseaseModel model = covid_model();
-  SimulationConfig serial_config = base_config(40);
-  serial_config.exchange = ExchangeMode::kBroadcast;
-  SimulationConfig ghost_config = base_config(40);
-  ghost_config.exchange = ExchangeMode::kGhostDelta;
-  const SimOutput serial = run_simulation(
-      test_region().network, test_region().population, model, serial_config);
-  const Partitioning parts =
-      partition_network(test_region().network, static_cast<std::size_t>(ranks));
-  const SimOutput parallel =
-      run_simulation_parallel(test_region().network, test_region().population,
-                              model, ghost_config, parts, ranks);
-  EXPECT_EQ(parallel.total_infections, serial.total_infections);
-  EXPECT_EQ(parallel.new_infections_per_tick, serial.new_infections_per_tick);
-  EXPECT_EQ(parallel.final_states, serial.final_states);
-  ASSERT_EQ(parallel.transitions.size(), serial.transitions.size());
-  auto key = [](const TransitionEvent& e) {
-    return std::tuple(e.tick, e.person, e.exit_state, e.infector);
-  };
-  std::vector<std::tuple<Tick, PersonId, HealthStateId, PersonId>> s, p;
-  for (const auto& e : serial.transitions) s.push_back(key(e));
-  for (const auto& e : parallel.transitions) p.push_back(key(e));
-  std::sort(s.begin(), s.end());
-  std::sort(p.begin(), p.end());
-  EXPECT_EQ(s, p);
-}
-
-INSTANTIATE_TEST_SUITE_P(RankCounts, GhostEquivalence,
-                         ::testing::Values(1, 2, 4, 8));
-
 TEST(ParallelSim, CommunicationBytesReported) {
   const DiseaseModel model = covid_model();
   const Partitioning parts = partition_network(test_region().network, 4);
