@@ -15,12 +15,13 @@
 #   ./ci.sh service    # scenario-service replay determinism: the canned
 #                      # request log twice, and EPI_JOBS=1 vs 4, with
 #                      # byte-diffs of responses + report; throughput gate
-#   ./ci.sh obs        # epitrace pass: traced nightly run -> trace_check
-#                      # -> epitrace self-checks; traced-vs-untraced
-#                      # byte-identity; fig9/table1/comm-volume/fig7 bench
-#                      # reports diffed against bench/baselines/ (clean
-#                      # must pass, an injected 10%+ regression must be
-#                      # flagged)
+#   ./ci.sh obs        # epitrace pass: traced nightly run -> epitrace
+#                      # check (trace/metrics rules + self-checks; a
+#                      # corrupted trace must be rejected);
+#                      # traced-vs-untraced byte-identity;
+#                      # fig9/table1/comm-volume/fig7 bench reports diffed
+#                      # against bench/baselines/ (clean must pass, an
+#                      # injected 10%+ regression must be flagged)
 #   ./ci.sh asan       # AddressSanitizer + UBSan + LeakSanitizer build
 #   ./ci.sh tsan       # ThreadSanitizer build (mpilite runs ranks as
 #                      # threads, so this sees every data race real-MPI
@@ -61,7 +62,7 @@ run_plain() {
 
   echo "== trace pass (EPI_TRACE) =="
   # Run the nightly example twice with tracing on and deterministic
-  # timing, validate both trace/metrics pairs with trace_check, and
+  # timing, validate both trace/metrics pairs with epitrace check, and
   # require the two runs to be byte-identical — the reproducibility
   # guarantee the obs layer promises.
   rm -rf build/trace-ci build/trace-ci-2
@@ -69,8 +70,8 @@ run_plain() {
     ./build/examples/nightly_national_run economic >/dev/null
   EPI_TRACE=build/trace-ci-2 EPI_DETERMINISTIC_TIMING=1 \
     ./build/examples/nightly_national_run economic >/dev/null
-  ./build/tools/trace_check build/trace-ci/trace.json build/trace-ci/metrics.json
-  ./build/tools/trace_check build/trace-ci-2/trace.json build/trace-ci-2/metrics.json
+  ./build/tools/epitrace check build/trace-ci
+  ./build/tools/epitrace check build/trace-ci-2
   cmp build/trace-ci/trace.json build/trace-ci-2/trace.json
   cmp build/trace-ci/metrics.json build/trace-ci-2/metrics.json
   echo "trace pass OK (valid + byte-identical across runs)"
@@ -171,8 +172,7 @@ run_proc() {
   EPI_TRACE=build/proc-ci/trace-shm EPI_MPILITE_BACKEND=shm \
     EPI_DETERMINISTIC_TIMING=1 \
     ./build/examples/nightly_national_run economic >/dev/null
-  ./build/tools/trace_check build/proc-ci/trace-shm/trace.json \
-    build/proc-ci/trace-shm/metrics.json
+  ./build/tools/epitrace check build/proc-ci/trace-shm
   echo "proc pass OK (forked ranks byte-identical to threads)"
 }
 
@@ -207,20 +207,30 @@ run_service() {
 run_obs() {
   echo "== observability pass (epitrace) =="
   cmake -B build -S . >/dev/null
-  cmake --build build -j "$JOBS" --target nightly_national_run trace_check \
-    epitrace bench_fig9_utilization bench_table1_workflows \
-    bench_comm_volume bench_fig7_runtime
+  cmake --build build -j "$JOBS" --target nightly_national_run epitrace \
+    bench_fig9_utilization bench_table1_workflows bench_comm_volume \
+    bench_fig7_runtime
 
   # A traced deterministic nightly run (the fig9 workload): validate the
-  # emitted files, then run the profiler with its self-checks on — every
-  # phase's critical path must fit inside the phase window, and the job
-  # spans' busy node-hours must reproduce the recorded utilization gauge.
+  # emitted files and run the profiler's self-checks — every phase's
+  # critical path must fit inside the phase window, and the job spans'
+  # busy node-hours must reproduce the recorded utilization gauge.
   rm -rf build/obs-ci && mkdir -p build/obs-ci
   EPI_TRACE=build/obs-ci/run EPI_DETERMINISTIC_TIMING=1 \
     ./build/examples/nightly_national_run economic > build/obs-ci/report-traced.txt
-  ./build/tools/trace_check build/obs-ci/run/trace.json build/obs-ci/run/metrics.json
-  ./build/tools/epitrace report build/obs-ci/run --check > build/obs-ci/epitrace-report.txt
-  echo "epitrace report OK (critical path + busy-vs-utilization self-checks)"
+  ./build/tools/epitrace check build/obs-ci/run
+  ./build/tools/epitrace report build/obs-ci/run > build/obs-ci/epitrace-report.txt
+  echo "epitrace check OK (trace/metrics rules + self-checks)"
+  # The check gate's own self-test: a copy with one 'X' span turned into
+  # the unknown phase 'Q' must be rejected.
+  rm -rf build/obs-ci/run-bad && cp -r build/obs-ci/run build/obs-ci/run-bad
+  sed -e '0,/"ph":"X"/s//"ph":"Q"/' build/obs-ci/run/trace.json \
+    > build/obs-ci/run-bad/trace.json
+  if ./build/tools/epitrace check build/obs-ci/run-bad >/dev/null; then
+    echo "epitrace check FAILED to reject a corrupted trace" >&2
+    exit 1
+  fi
+  echo "check gate OK (corrupted trace rejected)"
 
   # Observer effect check: the same run untraced (and traced with flow
   # edges off) must produce a byte-identical workflow report.
@@ -250,7 +260,7 @@ run_obs() {
     build/obs-ci/bench/BENCH_table1_workflows.json \
     > build/obs-ci/bench-bad/BENCH_table1_workflows.json
   if ./build/tools/epitrace diff bench/baselines build/obs-ci/bench-bad >/dev/null; then
-    echo "bench-diff gate FAILED to flag an injected regression" >&2
+    echo "bench gate FAILED to flag an injected regression" >&2
     exit 1
   fi
   echo "bench gate OK (clean run passes, injected regression flagged)"

@@ -94,7 +94,7 @@ class TraceRecorder {
   // Flow events stitch spans on different lanes into a causal chain: a
   // mpilite send→recv pair, an exec submit→start→finish, a service
   // request→campaign-unit hand-off. All events of one chain share an `id`
-  // string; Chrome/Perfetto draw the arrows, trace_check validates the
+  // string; Chrome/Perfetto draw the arrows, epitrace validates the
   // well-formedness (every 'f' terminates a previously started chain).
 
   /// Opens a causal chain ('s') — e.g. the send or submit side.

@@ -37,9 +37,6 @@ struct EnvVarInfo {
 /// accessors below, and rendered into README.md — update all consumers by
 /// editing this one table.
 inline constexpr EnvVarInfo kEnvRegistry[] = {
-    {"EPI_BENCH_BASELINE_DIR",
-     "directory of committed BENCH_<name>.json baselines that `epitrace "
-     "bench-diff` compares candidate runs against (default bench/baselines)"},
     {"EPI_BENCH_JSON",
      "directory where benchmarks write their BENCH_<name>.json reports"},
     {"EPI_CYCLE_REPORT",

@@ -28,10 +28,10 @@
 #include <utility>
 #include <vector>
 
+#include "epitrace/epitrace.hpp"
 #include "mpilite/comm.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "obs/trace_check.hpp"
 #include "util/json.hpp"
 
 namespace epi::mpilite {
@@ -511,9 +511,9 @@ TEST(MpiliteShm, ChildMetricsAndFlowEdgesMergeIntoParent) {
         << backends[b];
 
     const Json doc = trace.to_json();
-    const obs::TraceCheckResult result = obs::check_trace_json(doc);
-    EXPECT_TRUE(result.ok) << backends[b];
-    EXPECT_EQ(result.flows, 2u) << backends[b];
+    const epitrace::TraceModel model = epitrace::load_trace(doc);
+    EXPECT_TRUE(model.errors.empty()) << backends[b];
+    EXPECT_EQ(model.flow_chains.size(), 2u) << backends[b];
     metrics_text[b] = metrics.snapshot().dump();
     trace_text[b] = doc.dump();
   }

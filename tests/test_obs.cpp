@@ -17,7 +17,6 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
-#include "obs/trace_check.hpp"
 #include "resilience/fault_injector.hpp"
 #include "service/request.hpp"
 #include "service/service.hpp"
@@ -39,13 +38,15 @@ std::string joined(const std::vector<std::string>& errors) {
   return out;
 }
 
-// Counts non-metadata events in `doc` whose "cat" equals `category`.
-std::size_t count_category(const Json& doc, const std::string& category) {
+// Counts the spans and instants in `model` whose category is `category`.
+std::size_t count_category(const epitrace::TraceModel& model,
+                           const std::string& category) {
   std::size_t n = 0;
-  for (const Json& event : doc.at("traceEvents").as_array()) {
-    if (event.contains("cat") && event.at("cat").as_string() == category) ++n;
+  for (const epitrace::Span& span : model.spans) {
+    if (span.category == category) ++n;
   }
-  return n;
+  const auto it = model.instants_by_category.find(category);
+  return n + (it == model.instants_by_category.end() ? 0 : it->second);
 }
 
 // ----------------------------------------------------- trace recorder ----
@@ -62,12 +63,12 @@ TEST(TraceRecorder, NestedSpansExportAsValidChromeTrace) {
   trace.instant(pid, 0, "milestone", "config-gen", 1.5);
   trace.counter(pid, "slurm.nodes", 1.0, TraceArgs{{"busy", Json(3.0)}});
 
-  const obs::TraceCheckResult result = obs::check_trace_json(trace.to_json());
-  EXPECT_TRUE(result.ok) << joined(result.errors);
-  EXPECT_EQ(result.spans, 3u);  // two B/E pairs + one X
-  EXPECT_EQ(result.instants, 1u);
-  EXPECT_EQ(result.counters, 1u);
-  EXPECT_EQ(result.processes, 1u);
+  const epitrace::TraceModel model = epitrace::load_trace(trace.to_json());
+  EXPECT_TRUE(model.errors.empty()) << joined(model.errors);
+  EXPECT_EQ(model.spans.size(), 3u);  // two B/E pairs + one X
+  EXPECT_EQ(model.instants, 1u);
+  EXPECT_EQ(model.counter_samples, 1u);
+  EXPECT_EQ(model.process_names.size(), 1u);
   EXPECT_EQ(trace.event_count(), 7u);
 }
 
@@ -75,12 +76,12 @@ TEST(TraceRecorder, UnmatchedSpansFailValidation) {
   TraceRecorder stray_end(true);
   const std::uint32_t pid = stray_end.process("p");
   stray_end.end(pid, 0, 1.0);
-  EXPECT_FALSE(obs::check_trace_json(stray_end.to_json()).ok);
+  EXPECT_FALSE(epitrace::load_trace(stray_end.to_json()).errors.empty());
 
   TraceRecorder left_open(true);
   const std::uint32_t pid2 = left_open.process("p");
   left_open.begin(pid2, 0, "never closed", "phase", 0.0);
-  EXPECT_FALSE(obs::check_trace_json(left_open.to_json()).ok);
+  EXPECT_FALSE(epitrace::load_trace(left_open.to_json()).errors.empty());
 }
 
 TEST(TraceRecorder, OutOfOrderEmissionIsSortedMonotone) {
@@ -91,14 +92,13 @@ TEST(TraceRecorder, OutOfOrderEmissionIsSortedMonotone) {
   trace.complete(pid, 1, "late", "job", 5.0, 1.0);
   trace.complete(pid, 1, "early", "job", 1.0, 1.0);
 
-  const Json doc = trace.to_json();
-  const obs::TraceCheckResult result = obs::check_trace_json(doc);
-  EXPECT_TRUE(result.ok) << joined(result.errors);
-  std::vector<std::string> names;
-  for (const Json& event : doc.at("traceEvents").as_array()) {
-    if (event.at("ph").as_string() == "X") names.push_back(event.at("name").as_string());
-  }
-  EXPECT_EQ(names, (std::vector<std::string>{"early", "late"}));
+  // Both spans share a lane, so an unsorted export fails the per-lane
+  // monotone-ts rule.
+  const epitrace::TraceModel model = epitrace::load_trace(trace.to_json());
+  EXPECT_TRUE(model.errors.empty()) << joined(model.errors);
+  ASSERT_EQ(model.spans.size(), 2u);
+  EXPECT_EQ(model.spans[0].name, "early");
+  EXPECT_EQ(model.spans[1].name, "late");
 }
 
 TEST(TraceRecorder, DualClockIsZeroedUnderDeterministicTiming) {
@@ -106,13 +106,11 @@ TEST(TraceRecorder, DualClockIsZeroedUnderDeterministicTiming) {
   EXPECT_EQ(det.wall_seconds(), 0.0);
   det.instant(det.process("p"), 0, "x", "c", 0.0);
   const Json doc = det.to_json();
-  bool saw_instant = false;
-  for (const Json& event : doc.at("traceEvents").as_array()) {
-    if (event.at("ph").as_string() != "i") continue;
-    saw_instant = true;
-    EXPECT_EQ(event.at("args").at("wall_s").as_double(), 0.0);
-  }
-  EXPECT_TRUE(saw_instant);
+  EXPECT_EQ(epitrace::load_trace(doc).instants, 1u);
+  // The instant exports last, after the process-name metadata.
+  const Json& instant = doc.at("traceEvents").as_array().back();
+  EXPECT_EQ(instant.at("ph").as_string(), "i");
+  EXPECT_EQ(instant.at("args").at("wall_s").as_double(), 0.0);
 
   const TraceRecorder live(false);
   EXPECT_GE(live.wall_seconds(), 0.0);
@@ -128,15 +126,14 @@ TEST(TraceFlow, ChainsExportAndValidate) {
   trace.flow_end(pid, 1, "recv", "mpilite", 1.0, "msg:0->1");
 
   const Json doc = trace.to_json();
-  const obs::TraceCheckResult result = obs::check_trace_json(doc);
-  EXPECT_TRUE(result.ok) << joined(result.errors);
-  EXPECT_EQ(result.flows, 1u);
-  for (const Json& event : doc.at("traceEvents").as_array()) {
-    const std::string& ph = event.at("ph").as_string();
-    if (ph != "s" && ph != "t" && ph != "f") continue;
-    EXPECT_EQ(event.at("id").as_string(), "msg:0->1");
-    if (ph == "f") EXPECT_EQ(event.at("bp").as_string(), "e");
-  }
+  // A step or end on any other id would have no open start: an error.
+  const epitrace::TraceModel model = epitrace::load_trace(doc);
+  EXPECT_TRUE(model.errors.empty()) << joined(model.errors);
+  EXPECT_EQ(model.flow_chains, (std::vector<std::string>{"msg:0->1"}));
+  // The end exports last and binds to its enclosing slice.
+  const Json& end = doc.at("traceEvents").as_array().back();
+  EXPECT_EQ(end.at("ph").as_string(), "f");
+  EXPECT_EQ(end.at("bp").as_string(), "e");
 }
 
 TEST(TraceFlow, ValidationCatchesMisuse) {
@@ -144,20 +141,20 @@ TEST(TraceFlow, ValidationCatchesMisuse) {
   TraceRecorder dangling(true);
   const std::uint32_t p1 = dangling.process("p");
   dangling.flow_start(p1, 0, "send", "c", 0.0, "x");
-  EXPECT_FALSE(obs::check_trace_json(dangling.to_json()).ok);
+  EXPECT_FALSE(epitrace::load_trace(dangling.to_json()).errors.empty());
 
   // End without a start.
   TraceRecorder orphan(true);
   const std::uint32_t p2 = orphan.process("p");
   orphan.flow_end(p2, 0, "recv", "c", 1.0, "y");
-  EXPECT_FALSE(obs::check_trace_json(orphan.to_json()).ok);
+  EXPECT_FALSE(epitrace::load_trace(orphan.to_json()).errors.empty());
 
   // Time running backwards along a chain (a cyclic happens-before edge).
   TraceRecorder backwards(true);
   const std::uint32_t p3 = backwards.process("p");
   backwards.flow_start(p3, 0, "send", "c", 2.0, "z");
   backwards.flow_end(p3, 1, "recv", "c", 1.0, "z");
-  EXPECT_FALSE(obs::check_trace_json(backwards.to_json()).ok);
+  EXPECT_FALSE(epitrace::load_trace(backwards.to_json()).errors.empty());
 
   // Closing a chain frees its id for reuse.
   TraceRecorder reuse(true);
@@ -166,9 +163,9 @@ TEST(TraceFlow, ValidationCatchesMisuse) {
   reuse.flow_end(p4, 1, "recv", "c", 1.0, "r");
   reuse.flow_start(p4, 0, "send", "c", 2.0, "r");
   reuse.flow_end(p4, 1, "recv", "c", 3.0, "r");
-  const obs::TraceCheckResult result = obs::check_trace_json(reuse.to_json());
-  EXPECT_TRUE(result.ok) << joined(result.errors);
-  EXPECT_EQ(result.flows, 2u);
+  const epitrace::TraceModel model = epitrace::load_trace(reuse.to_json());
+  EXPECT_TRUE(model.errors.empty()) << joined(model.errors);
+  EXPECT_EQ(model.flow_chains, (std::vector<std::string>{"r", "r"}));
 }
 
 // ---------------------------------------------------- metrics registry ----
@@ -198,8 +195,8 @@ TEST(MetricsRegistry, HistogramBucketsByUpperBound) {
   EXPECT_EQ(metrics.histogram_count("h"), 4u);
 
   const Json snapshot = metrics.snapshot();
-  const obs::MetricsCheckResult result = obs::check_metrics_json(snapshot);
-  EXPECT_TRUE(result.ok) << joined(result.errors);
+  const epitrace::MetricsCheck result = epitrace::check_metrics_json(snapshot);
+  EXPECT_TRUE(result.errors.empty()) << joined(result.errors);
   EXPECT_EQ(result.histograms, 1u);
 
   const JsonArray& buckets =
@@ -219,7 +216,7 @@ TEST(MetricsRegistry, DefaultBoundsKickInWithoutExplicitOnes) {
   metrics.observe("latency_s", 0.01);
   metrics.observe("latency_s", 2.5);
   EXPECT_EQ(metrics.histogram_count("latency_s"), 2u);
-  EXPECT_TRUE(obs::check_metrics_json(metrics.snapshot()).ok);
+  EXPECT_TRUE(epitrace::check_metrics_json(metrics.snapshot()).errors.empty());
 }
 
 TEST(MetricsRegistry, HistogramTailsAndPercentiles) {
@@ -231,7 +228,7 @@ TEST(MetricsRegistry, HistogramTailsAndPercentiles) {
   metrics.observe("h", 9.0, bounds);  // overflow (+Inf bucket)
 
   const Json snapshot = metrics.snapshot();
-  EXPECT_TRUE(obs::check_metrics_json(snapshot).ok);
+  EXPECT_TRUE(epitrace::check_metrics_json(snapshot).errors.empty());
   const Json& h = snapshot.at("histograms").at("h");
   EXPECT_EQ(h.at("underflow").as_double(), 1.0);
   EXPECT_EQ(h.at("overflow").as_double(), 1.0);
@@ -319,26 +316,26 @@ TEST(ObsNightly, GoldenTraceFileValidatesAndCoversEveryLayer) {
   const WorkflowReport report = engine.run(small_design());
   session.write();
 
-  const obs::TraceCheckResult result =
-      obs::check_trace_file(session.trace_path());
-  EXPECT_TRUE(result.ok) << joined(result.errors);
-  EXPECT_EQ(result.processes, 4u);  // home, remote, wan, exec (farm lanes)
+  const epitrace::TraceModel model =
+      epitrace::load_trace_file(session.trace_path());
+  EXPECT_TRUE(model.errors.empty()) << joined(model.errors);
+  // home, remote, wan, exec (farm lanes)
+  EXPECT_EQ(model.process_names.size(), 4u);
 
-  const Json doc = read_json_file(session.trace_path());
   // One 'X' span per PhaseRecord in the report timeline.
-  EXPECT_EQ(count_category(doc, "phase"), report.timeline.size());
+  EXPECT_EQ(count_category(model, "phase"), report.timeline.size());
   // Per-job spans from the DES, per-file WAN spans, per-region instants.
-  EXPECT_GT(count_category(doc, "job"), 0u);
-  EXPECT_GT(count_category(doc, "wan"), 0u);
-  EXPECT_GT(count_category(doc, "config-gen"), 0u);
-  EXPECT_GT(count_category(doc, "db-snapshot"), 0u);
-  EXPECT_GT(count_category(doc, "execute"), 0u);
+  EXPECT_GT(count_category(model, "job"), 0u);
+  EXPECT_GT(count_category(model, "wan"), 0u);
+  EXPECT_GT(count_category(model, "config-gen"), 0u);
+  EXPECT_GT(count_category(model, "db-snapshot"), 0u);
+  EXPECT_GT(count_category(model, "execute"), 0u);
   // Farm task spans from the exec pool (sampled simulations).
-  EXPECT_GT(count_category(doc, "exec"), 0u);
+  EXPECT_GT(count_category(model, "exec"), 0u);
 
-  const obs::MetricsCheckResult metrics_result =
-      obs::check_metrics_file(session.metrics_path());
-  EXPECT_TRUE(metrics_result.ok) << joined(metrics_result.errors);
+  const epitrace::MetricsCheck metrics_result =
+      epitrace::check_metrics_file(session.metrics_path());
+  EXPECT_TRUE(metrics_result.errors.empty()) << joined(metrics_result.errors);
   EXPECT_GT(metrics_result.counters, 0u);
   EXPECT_GT(session.metrics().counter("nightly.runs"), 0u);
   EXPECT_GT(session.metrics().counter("slurm.jobs_completed"), 0u);
@@ -359,14 +356,15 @@ TEST(ObsNightly, FlowEdgesTrackTheFarmAndTurnOffCleanly) {
     NightlyWorkflow engine(config);
     const WorkflowReport report = engine.run(small_design());
     return std::make_pair(report,
-                          obs::check_trace_json(session.trace().to_json()));
+                          epitrace::load_trace(session.trace().to_json()));
   };
   const auto on = run_with_flow(true);
   const auto off = run_with_flow(false);
-  EXPECT_TRUE(on.second.ok) << joined(on.second.errors);
-  EXPECT_TRUE(off.second.ok) << joined(off.second.errors);
-  EXPECT_GT(on.second.flows, 0u);   // the farm's submit->start->finish edges
-  EXPECT_EQ(off.second.flows, 0u);  // EPI_TRACE_FLOW=0 removes them all
+  EXPECT_TRUE(on.second.errors.empty()) << joined(on.second.errors);
+  EXPECT_TRUE(off.second.errors.empty()) << joined(off.second.errors);
+  // The farm's submit->start->finish edges; EPI_TRACE_FLOW=0 removes them.
+  EXPECT_GT(on.second.flow_chains.size(), 0u);
+  EXPECT_EQ(off.second.flow_chains.size(), 0u);
   EXPECT_EQ(on.first, off.first);   // without touching the report
 }
 
@@ -386,9 +384,10 @@ TEST(ObsNightly, FaultInstantsAppearWhenInjectorEnabled) {
   NightlyWorkflow engine(config);
   engine.run(small_design());
 
-  const Json doc = session.trace().to_json();
-  EXPECT_GT(count_category(doc, "fault"), 0u);
-  EXPECT_TRUE(obs::check_trace_json(doc).ok);
+  const epitrace::TraceModel model =
+      epitrace::load_trace(session.trace().to_json());
+  EXPECT_GT(count_category(model, "fault"), 0u);
+  EXPECT_TRUE(model.errors.empty()) << joined(model.errors);
 }
 
 TEST(ObsSession, FromEnvFollowsEpiTrace) {
@@ -510,21 +509,12 @@ TEST(ObsMpilite, FlowEdgesPairEverySendWithItsRecv) {
       },
       hooks);
 
-  const Json doc = trace.to_json();
-  const obs::TraceCheckResult result = obs::check_trace_json(doc);
-  EXPECT_TRUE(result.ok) << joined(result.errors);
-  EXPECT_EQ(result.flows, 3u);
-
-  std::vector<std::string> starts, ends;
-  for (const Json& event : doc.at("traceEvents").as_array()) {
-    const std::string& ph = event.at("ph").as_string();
-    if (ph == "s") starts.push_back(event.at("id").as_string());
-    if (ph == "f") ends.push_back(event.at("id").as_string());
-  }
+  // No errors: every send edge starts once and reaches a matching recv.
+  const epitrace::TraceModel model = epitrace::load_trace(trace.to_json());
+  EXPECT_TRUE(model.errors.empty()) << joined(model.errors);
   const std::vector<std::string> expected{"msg:0->1:t7:#0", "msg:0->1:t7:#1",
                                           "msg:0->2:t9:#0"};
-  EXPECT_EQ(starts, expected);  // every send edge...
-  EXPECT_EQ(ends, expected);    // ...reaches a matching recv
+  EXPECT_EQ(model.flow_chains, expected);
 }
 
 TEST(ObsMpilite, UnreceivedMessagesLeaveNoDanglingEdges) {
@@ -540,9 +530,9 @@ TEST(ObsMpilite, UnreceivedMessagesLeaveNoDanglingEdges) {
         // Rank 1 exits without receiving: the message stays in the mailbox.
       },
       hooks);
-  const obs::TraceCheckResult result = obs::check_trace_json(trace.to_json());
-  EXPECT_TRUE(result.ok) << joined(result.errors);
-  EXPECT_EQ(result.flows, 0u);
+  const epitrace::TraceModel model = epitrace::load_trace(trace.to_json());
+  EXPECT_TRUE(model.errors.empty()) << joined(model.errors);
+  EXPECT_TRUE(model.flow_chains.empty());
 }
 
 // ------------------------------------------------------- exec flows ----
@@ -561,11 +551,12 @@ TEST(ObsExec, TaskChainsAreWellFormedAcrossCalls) {
   // the first call's (the call-sequence discriminator).
   exec::parallel_index_map(3, [](std::size_t i) { return i + 1; }, config);
 
-  const obs::TraceCheckResult result = obs::check_trace_json(trace.to_json());
-  // ok means every submit->start->finish chain is closed, started once,
-  // and time-ordered — i.e. the task graph the flows encode is acyclic.
-  EXPECT_TRUE(result.ok) << joined(result.errors);
-  EXPECT_EQ(result.flows, 8u);
+  const epitrace::TraceModel model = epitrace::load_trace(trace.to_json());
+  // No errors means every submit->start->finish chain is closed, started
+  // once, and time-ordered — i.e. the task graph the flows encode is
+  // acyclic.
+  EXPECT_TRUE(model.errors.empty()) << joined(model.errors);
+  EXPECT_EQ(model.flow_chains.size(), 8u);
 }
 
 TEST(ObsExec, FlowToggleSuppressesChains) {
@@ -576,10 +567,10 @@ TEST(ObsExec, FlowToggleSuppressesChains) {
   config.obs.deterministic_timing = true;
   config.obs.flow = false;
   exec::parallel_index_map(4, [](std::size_t i) { return i; }, config);
-  const obs::TraceCheckResult result = obs::check_trace_json(trace.to_json());
-  EXPECT_TRUE(result.ok) << joined(result.errors);
-  EXPECT_EQ(result.flows, 0u);
-  EXPECT_EQ(result.spans, 4u);  // the task spans themselves remain
+  const epitrace::TraceModel model = epitrace::load_trace(trace.to_json());
+  EXPECT_TRUE(model.errors.empty()) << joined(model.errors);
+  EXPECT_TRUE(model.flow_chains.empty());
+  EXPECT_EQ(model.spans.size(), 4u);  // the task spans themselves remain
 }
 
 // ------------------------------------------------- service telemetry ----
@@ -620,16 +611,16 @@ TEST(ObsService, RequestSpansFlowsAndCacheCountersAppear) {
   service.replay_log(log);   // cold: computes the unit
   service.replay_log(log);   // warm: served from cache
 
-  const Json doc = session.trace().to_json();
-  const obs::TraceCheckResult result = obs::check_trace_json(doc);
-  EXPECT_TRUE(result.ok) << joined(result.errors);
+  const epitrace::TraceModel model =
+      epitrace::load_trace(session.trace().to_json());
+  EXPECT_TRUE(model.errors.empty()) << joined(model.errors);
   // parse + plan + execute + schedule per replay wave.
-  EXPECT_EQ(count_category(doc, "service-phase"), 8u);
+  EXPECT_EQ(count_category(model, "service-phase"), 8u);
   // One request span per request per wave.
-  EXPECT_EQ(count_category(doc, "service-request"), 2u);
+  EXPECT_EQ(count_category(model, "service-request"), 2u);
   // One request->work edge per request (cold lands on a worker lane,
   // warm on the cache), well-formed either way.
-  EXPECT_GE(result.flows, 2u);
+  EXPECT_GE(model.flow_chains.size(), 2u);
 
   EXPECT_GT(session.metrics().counter("service.requests"), 0u);
   EXPECT_GT(session.metrics().counter("service.cache_misses"), 0u);
@@ -702,6 +693,60 @@ TEST(Epitrace, LaneBusyUsesIntervalUnionAndImbalanceRatio) {
   EXPECT_DOUBLE_EQ(ratios[0].max_busy_hours, 4.0);
   EXPECT_DOUBLE_EQ(ratios[0].mean_busy_hours, 3.0);
   EXPECT_DOUBLE_EQ(ratios[0].ratio, 4.0 / 3.0);
+}
+
+TEST(Epitrace, MalformedTracesYieldEventIndexedErrors) {
+  // Event 0 is a valid instant; event 1 breaks one rule. The first three
+  // cases are ones an analysis-only loader would silently accept.
+  const std::string ok_event =
+      R"({"ph":"i","pid":0,"tid":0,"ts":5,"name":"ok"})";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"backwards ts", R"({"ph":"i","pid":0,"tid":0,"ts":3,"name":"b"})"},
+      {"unknown ph", R"({"ph":"Q","pid":0,"tid":0,"ts":6,"name":"q"})"},
+      {"negative dur",
+       R"({"ph":"X","pid":0,"tid":0,"ts":6,"dur":-3,"name":"x"})"},
+      {"string pid", R"({"ph":"i","pid":"a","tid":0,"ts":6,"name":"s"})"},
+      {"negative pid", R"({"ph":"i","pid":-1,"tid":0,"ts":6,"name":"n"})"},
+      {"orphan E", R"({"ph":"E","pid":0,"tid":1,"ts":6})"},
+      {"unclosed B", R"({"ph":"B","pid":0,"tid":0,"ts":6,"name":"open"})"},
+  };
+  for (const auto& [label, bad_event] : cases) {
+    const Json doc =
+        parse_json(R"({"traceEvents":[)" + ok_event + "," + bad_event + "]}");
+    epitrace::TraceModel model;
+    EXPECT_NO_THROW(model = epitrace::load_trace(doc)) << label;
+    ASSERT_EQ(model.errors.size(), 1u) << label << "\n"
+                                       << joined(model.errors);
+    EXPECT_EQ(model.errors[0].rfind("event 1: ", 0), 0u)
+        << label << ": " << model.errors[0];
+    EXPECT_TRUE(model.spans.empty()) << label;  // nothing built from it
+  }
+}
+
+TEST(Epitrace, MalformedMetricsYieldNamedErrors) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"negative bucket counts",
+       R"({"buckets":[{"le":1,"count":-5},{"le":"+Inf","count":5}],)"
+       R"("count":0,"sum":0})"},
+      {"non-numeric bucket count",
+       R"({"buckets":[{"le":1,"count":"x"},{"le":"+Inf","count":0}],)"
+       R"("count":0,"sum":0})"},
+      {"non-numeric sum",
+       R"({"buckets":[{"le":1,"count":1},{"le":"+Inf","count":0}],)"
+       R"("count":1,"sum":"x"})"},
+  };
+  for (const auto& [label, histogram] : cases) {
+    const Json doc = parse_json(R"({"counters":{},"gauges":{},)"
+                                R"("histograms":{"lat_s":)" +
+                                histogram + "}}");
+    epitrace::MetricsCheck result;
+    EXPECT_NO_THROW(result = epitrace::check_metrics_json(doc)) << label;
+    ASSERT_FALSE(result.errors.empty()) << label;
+    for (const std::string& error : result.errors) {
+      EXPECT_EQ(error.rfind("histogram 'lat_s' ", 0), 0u)
+          << label << ": " << error;
+    }
+  }
 }
 
 TEST(Epitrace, BenchDiffGateFlagsRegressionsAndHonorsTolerances) {

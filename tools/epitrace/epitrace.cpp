@@ -4,7 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <set>
+#include <string_view>
 
 #include "util/error.hpp"
 
@@ -56,6 +58,46 @@ bool span_order(const Span& a, const Span& b) {
          std::tie(b.start_hours, b.duration_hours, b.pid, b.tid, b.name);
 }
 
+/// `(*object)[key]`, or null when `object` is not an object holding `key`.
+const Json* member(const Json* object, std::string_view key) {
+  return object != nullptr && object->contains(key) ? &object->at(key)
+                                                    : nullptr;
+}
+
+/// `(*object)[key]` when it is a string, else null.
+const std::string* string_member(const Json* object, std::string_view key) {
+  const Json* value = member(object, key);
+  return value != nullptr && value->is_string() ? &value->as_string()
+                                                : nullptr;
+}
+
+constexpr double kMaxLaneId = std::numeric_limits<std::uint32_t>::max();
+constexpr double kMaxTally = 0x1p53;  // every integer below is exact
+
+/// A whole number in [0, max].
+bool is_whole(const Json& value, double max) {
+  if (!value.is_number()) return false;
+  const double number = value.as_double();
+  return number >= 0.0 && number <= max && number == std::floor(number);
+}
+
+std::string lane_name(std::uint32_t pid, std::uint32_t tid) {
+  return "lane (" + std::to_string(pid) + ", " + std::to_string(tid) + ")";
+}
+
+/// Reads and parses the JSON file at `path`. A read or parse failure is
+/// appended to `errors`, naming the path, and yields null.
+Json read_document(const std::string& path, std::vector<std::string>& errors) {
+  try {
+    return read_json_file(path);
+  } catch (const Error& error) {
+    const std::string what = error.what();
+    errors.push_back(what.find(path) == std::string::npos ? path + ": " + what
+                                                          : what);
+    return Json();
+  }
+}
+
 }  // namespace
 
 const std::string& TraceModel::process(std::uint32_t pid) const {
@@ -65,110 +107,322 @@ const std::string& TraceModel::process(std::uint32_t pid) const {
 }
 
 TraceModel load_trace(const Json& doc) {
-  EPI_REQUIRE(doc.is_object() && doc.contains("traceEvents"),
-              "not a trace document (no traceEvents member)");
-  const Json& events = doc.at("traceEvents");
-  EPI_REQUIRE(events.is_array(), "traceEvents is not an array");
-
   TraceModel model;
-  struct OpenSpan {
-    std::string name;
-    std::string category;
-    double start_hours = 0.0;
-    double nodes = 1.0;
+  auto fail = [&model](std::string message) {
+    model.errors.push_back(std::move(message));
   };
-  std::map<std::pair<std::uint32_t, std::uint32_t>, std::vector<OpenSpan>>
-      open;
-  std::set<std::string> open_flows;
+  const Json* events = member(&doc, "traceEvents");
+  if (events == nullptr || !events->is_array()) {
+    fail("document is not an object with a traceEvents array");
+    return model;
+  }
 
-  for (const Json& event : events.as_array()) {
-    EPI_REQUIRE(event.is_object() && event.contains("ph"),
-                "malformed trace event");
-    const std::string& ph = event.at("ph").as_string();
-    const auto pid = static_cast<std::uint32_t>(event.get_int("pid", 0));
-    const auto tid = static_cast<std::uint32_t>(event.get_int("tid", 0));
-    if (ph == "M") {
-      const std::string kind = event.get_string("name", "");
-      if (kind == "process_name") {
-        model.process_names[pid] =
-            event.at("args").get_string("name", "");
-      } else if (kind == "thread_name") {
-        model.thread_names[{pid, tid}] =
-            event.at("args").get_string("name", "");
+  struct OpenSpan {
+    std::size_t index = 0;  // of the 'B' event
+    Span span;
+    bool well_formed = true;
+  };
+  struct Lane {
+    double last_ts = -std::numeric_limits<double>::infinity();
+    std::vector<OpenSpan> open;
+  };
+  std::map<std::pair<std::uint32_t, std::uint32_t>, Lane> lanes;
+  struct Flow {
+    std::size_t start_index = 0;
+    double last_ts = 0.0;
+    bool open = false;
+  };
+  std::map<std::string, Flow> flows;
+
+  const JsonArray& array = events->as_array();
+  for (std::size_t index = 0; index < array.size(); ++index) {
+    const Json* event = &array[index];
+    const std::string at = "event " + std::to_string(index) + ": ";
+    const std::string* ph_text = string_member(event, "ph");
+    if (ph_text == nullptr || ph_text->size() != 1) {
+      fail(at + "not an object with a one-character ph");
+      continue;
+    }
+    const char ph = (*ph_text)[0];
+    const Json* pid_value = member(event, "pid");
+    const Json* tid_value = member(event, "tid");
+    if (pid_value == nullptr || tid_value == nullptr) {
+      fail(at + "missing pid/tid");
+      continue;
+    }
+    if (!is_whole(*pid_value, kMaxLaneId) ||
+        !is_whole(*tid_value, kMaxLaneId)) {
+      fail(at + "pid " + pid_value->dump() + " / tid " + tid_value->dump() +
+           " are not both non-negative integers");
+      continue;
+    }
+    const auto pid = static_cast<std::uint32_t>(pid_value->as_double());
+    const auto tid = static_cast<std::uint32_t>(tid_value->as_double());
+    const Json* args = member(event, "args");
+    // A numeric arg the analyses read: absent gives `fallback`, anything
+    // but a number is an error.
+    auto number_arg = [&](const char* key, double fallback) {
+      const Json* value = member(args, key);
+      if (value == nullptr) return fallback;
+      if (value->is_number()) return value->as_double();
+      fail(at + "args." + key + " is not a number");
+      return fallback;
+    };
+    const std::string* name = string_member(event, "name");
+
+    if (ph == 'M') {
+      const std::string* label = string_member(args, "name");
+      const std::string text = label == nullptr ? "" : *label;
+      if (name != nullptr && *name == "process_name") {
+        model.process_names[pid] = text;
+      } else if (name != nullptr && *name == "thread_name") {
+        model.thread_names[{pid, tid}] = text;
       }
       continue;
     }
     ++model.events;
-    const double ts_hours = event.get_double("ts", 0.0) * kMicrosToHours;
-    double nodes = 1.0;
-    if (event.contains("args") && event.at("args").is_object() &&
-        event.at("args").contains("nodes")) {
-      nodes = event.at("args").at("nodes").as_double();
+    if (std::string_view("BEXiCstf").find(ph) == std::string_view::npos) {
+      fail(at + "unknown phase '" + std::string(1, ph) + "'");
+      continue;
     }
-    if (ph == "X") {
-      Span span;
-      span.pid = pid;
-      span.tid = tid;
-      span.start_hours = ts_hours;
-      span.duration_hours = event.get_double("dur", 0.0) * kMicrosToHours;
-      span.name = event.get_string("name", "");
-      span.category = event.get_string("cat", "");
-      span.nodes = nodes;
-      model.spans.push_back(std::move(span));
-    } else if (ph == "B") {
-      OpenSpan begun;
-      begun.name = event.get_string("name", "");
-      begun.category = event.get_string("cat", "");
-      begun.start_hours = ts_hours;
-      begun.nodes = nodes;
-      open[{pid, tid}].push_back(std::move(begun));
-    } else if (ph == "E") {
-      auto& stack = open[{pid, tid}];
-      EPI_REQUIRE(!stack.empty(), "E event with no open B on lane ("
-                                      << pid << ", " << tid << ")");
-      const OpenSpan begun = stack.back();
-      stack.pop_back();
-      Span span;
-      span.pid = pid;
-      span.tid = tid;
-      span.start_hours = begun.start_hours;
-      span.duration_hours = std::max(0.0, ts_hours - begun.start_hours);
-      span.name = begun.name;
-      span.category = begun.category;
-      span.nodes = begun.nodes;
-      model.spans.push_back(std::move(span));
-    } else if (ph == "i") {
-      ++model.instants;
-    } else if (ph == "C") {
-      ++model.counter_samples;
-      if (model.slurm_total_nodes == 0.0 &&
-          event.get_string("name", "") == "slurm.nodes" &&
-          event.contains("args")) {
-        const Json& args = event.at("args");
-        model.slurm_total_nodes = args.get_double("busy", 0.0) +
-                                  args.get_double("down", 0.0) +
-                                  args.get_double("free", 0.0);
+    const Json* ts_value = member(event, "ts");
+    if (ts_value == nullptr || !ts_value->is_number()) {
+      fail(at + "missing numeric ts");
+      continue;
+    }
+    const double ts = ts_value->as_double();
+    const double ts_hours = ts * kMicrosToHours;
+    Lane& lane = lanes[{pid, tid}];
+    bool well_formed = true;
+    if (ts < lane.last_ts) {
+      fail(at + "ts " + std::to_string(ts) + " goes backwards on " +
+           lane_name(pid, tid));
+      well_formed = false;
+    }
+    lane.last_ts = ts;
+    if (ph != 'E' && name == nullptr) {
+      fail(at + std::string(1, ph) + " event without a name");
+      well_formed = false;
+    }
+    const std::string* cat = string_member(event, "cat");
+    const std::string category = cat == nullptr ? "" : *cat;
+
+    switch (ph) {
+      case 'X': {
+        const Json* dur = member(event, "dur");
+        if (dur == nullptr || !dur->is_number() || dur->as_double() < 0.0) {
+          fail(at + "X event without a non-negative dur");
+          break;
+        }
+        const double nodes = number_arg("nodes", 1.0);
+        if (well_formed) {
+          model.spans.push_back(Span{pid, tid, ts_hours,
+                                     dur->as_double() * kMicrosToHours, *name,
+                                     category, nodes});
+        }
+        break;
       }
-    } else if (ph == "s") {
-      open_flows.insert(event.get_string("id", ""));
-    } else if (ph == "f") {
-      if (open_flows.erase(event.get_string("id", "")) > 0) {
-        ++model.flow_chains;
+      case 'B':
+        lane.open.push_back(OpenSpan{
+            index,
+            Span{pid, tid, ts_hours, 0.0, name == nullptr ? "" : *name,
+                 category, number_arg("nodes", 1.0)},
+            well_formed});
+        break;
+      case 'E': {
+        if (lane.open.empty()) {
+          fail(at + "E event with no open B on " + lane_name(pid, tid));
+          break;
+        }
+        OpenSpan begun = std::move(lane.open.back());
+        lane.open.pop_back();
+        if (well_formed && begun.well_formed) {
+          begun.span.duration_hours = ts_hours - begun.span.start_hours;
+          model.spans.push_back(std::move(begun.span));
+        }
+        break;
+      }
+      case 'i':
+        ++model.instants;
+        ++model.instants_by_category[category];
+        break;
+      case 'C':
+        ++model.counter_samples;
+        if (model.slurm_total_nodes == 0.0 && name != nullptr &&
+            *name == "slurm.nodes") {
+          model.slurm_total_nodes = number_arg("busy", 0.0) +
+                                    number_arg("down", 0.0) +
+                                    number_arg("free", 0.0);
+        }
+        break;
+      default: {  // 's', 't', 'f'
+        const std::string* id = string_member(event, "id");
+        if (id == nullptr || id->empty()) {
+          fail(at + "flow event without a string id");
+          break;
+        }
+        Flow& flow = flows[*id];
+        if (ph == 's') {
+          if (flow.open) fail(at + "flow '" + *id + "' started twice");
+          flow = Flow{index, ts, true};
+          break;
+        }
+        // 't' or 'f' must continue an open chain, forward in time.
+        if (!flow.open) {
+          fail(at + "flow '" + std::string(1, ph) + "' event on '" + *id +
+               "' with no open start");
+          break;
+        }
+        if (ts < flow.last_ts) {
+          fail(at + "flow '" + *id + "' goes backwards in time");
+        }
+        flow.last_ts = ts;
+        if (ph == 'f') {
+          flow.open = false;  // the id may be reused by a later chain
+          model.flow_chains.push_back(*id);
+        }
+        break;
       }
     }
-    // 't' steps and unknown phases carry no span/flow bookkeeping here;
-    // structural validation is trace_check's job.
   }
-  for (const auto& [lane, stack] : open) {
-    EPI_REQUIRE(stack.empty(), "lane (" << lane.first << ", " << lane.second
-                                        << ") has unclosed B span(s)");
+
+  for (const auto& [key, lane] : lanes) {
+    for (const OpenSpan& begun : lane.open) {
+      fail("event " + std::to_string(begun.index) + ": B '" +
+           begun.span.name + "' is never closed on " +
+           lane_name(key.first, key.second));
+    }
   }
+  for (const auto& [id, flow] : flows) {
+    if (flow.open) {
+      fail("event " + std::to_string(flow.start_index) + ": flow '" + id +
+           "' is started but never terminated with 'f'");
+    }
+  }
+  if (model.events == 0) fail("trace contains no events");
   std::sort(model.spans.begin(), model.spans.end(), span_order);
   return model;
 }
 
 TraceModel load_trace_file(const std::string& path) {
-  return load_trace(read_json_file(path));
+  TraceModel model;
+  const Json doc = read_document(path, model.errors);
+  return model.errors.empty() ? load_trace(doc) : model;
+}
+
+MetricsCheck check_metrics_json(Json doc) {
+  MetricsCheck result;
+  result.doc = std::move(doc);
+  auto fail = [&result](std::string message) {
+    result.errors.push_back(std::move(message));
+  };
+  const Json* metrics = &result.doc;
+  for (const char* section : {"counters", "gauges", "histograms"}) {
+    const Json* value = member(metrics, section);
+    if (value == nullptr || !value->is_object()) {
+      fail(std::string("missing object member '") + section + "'");
+    }
+  }
+  if (!result.errors.empty()) return result;
+
+  for (const auto& [name, value] : metrics->at("counters").as_object()) {
+    if (!value.is_number() || value.as_double() < 0.0) {
+      fail("counter '" + name + "' is not a non-negative number");
+    }
+    ++result.counters;
+  }
+  for (const auto& [name, value] : metrics->at("gauges").as_object()) {
+    if (!value.is_number()) fail("gauge '" + name + "' is not a number");
+    ++result.gauges;
+  }
+  for (const auto& [name, value] : metrics->at("histograms").as_object()) {
+    ++result.histograms;
+    const std::string what = "histogram '" + name + "' ";
+    const Json* buckets = member(&value, "buckets");
+    const Json* count = member(&value, "count");
+    const Json* sum = member(&value, "sum");
+    if (buckets == nullptr || !buckets->is_array() || count == nullptr ||
+        sum == nullptr) {
+      fail(what + "lacks buckets/count/sum");
+      continue;
+    }
+    // True when `field` is present and a non-negative integer; an error
+    // when present and not. Comparisons run only between such tallies.
+    auto tally = [&](const Json* field, const std::string& label) {
+      if (field == nullptr || is_whole(*field, kMaxTally)) {
+        return field != nullptr;
+      }
+      fail(what + label + " " + field->dump() +
+           " is not a non-negative integer");
+      return false;
+    };
+    const bool count_ok = tally(count, "count");
+    if (!sum->is_number()) {
+      fail(what + "sum " + sum->dump() + " is not a number");
+    }
+    bool buckets_ok = true;
+    double bucket_total = 0.0;
+    const Json* last_count = nullptr;
+    double last_bound = 0.0;
+    bool first = true;
+    const JsonArray& bucket_array = buckets->as_array();
+    for (std::size_t b = 0; b < bucket_array.size(); ++b) {
+      const Json* le = member(&bucket_array[b], "le");
+      last_count = member(&bucket_array[b], "count");
+      if (le == nullptr || last_count == nullptr) {
+        fail(what + "has a malformed bucket");
+        buckets_ok = false;
+      } else if (!tally(last_count, "bucket " + std::to_string(b) + " count")) {
+        buckets_ok = false;
+      } else {
+        bucket_total += last_count->as_double();
+      }
+      if (le == nullptr) continue;
+      if (le->is_number()) {
+        if (!first && le->as_double() <= last_bound) {
+          fail(what + "bounds are not increasing");
+        }
+        last_bound = le->as_double();
+        first = false;
+      } else if (!le->is_string() || le->as_string() != "+Inf") {
+        fail(what + "has a non-numeric bound that is not +Inf");
+      }
+    }
+    if (count_ok && buckets_ok && bucket_total != count->as_double()) {
+      fail(what + "bucket counts do not sum to count");
+    }
+    // Tail-accounting and quantile summary fields (optional for
+    // hand-built documents; MetricsRegistry always emits them).
+    const Json* overflow = member(&value, "overflow");
+    if (tally(overflow, "overflow") && last_count != nullptr &&
+        is_whole(*last_count, kMaxTally) &&
+        overflow->as_double() != last_count->as_double()) {
+      fail(what + "overflow does not match the +Inf bucket count");
+    }
+    const Json* underflow = member(&value, "underflow");
+    if (tally(underflow, "underflow") && count_ok &&
+        underflow->as_double() > count->as_double()) {
+      fail(what + "underflow exceeds count");
+    }
+    const Json* p50 = member(&value, "p50");
+    const Json* p95 = member(&value, "p95");
+    const Json* p99 = member(&value, "p99");
+    if (p50 != nullptr && p95 != nullptr && p99 != nullptr) {
+      if (!p50->is_number() || !p95->is_number() || !p99->is_number()) {
+        fail(what + "quantiles are not numbers");
+      } else if (p50->as_double() > p95->as_double() ||
+                 p95->as_double() > p99->as_double()) {
+        fail(what + "quantiles are not monotone");
+      }
+    }
+  }
+  return result;
+}
+
+MetricsCheck check_metrics_file(const std::string& path) {
+  MetricsCheck result;
+  Json doc = read_document(path, result.errors);
+  return result.errors.empty() ? check_metrics_json(std::move(doc)) : result;
 }
 
 std::vector<PhasePath> critical_paths(const TraceModel& model) {
@@ -448,7 +702,7 @@ Json summarize(const TraceModel& model, const Json& metrics,
     trace["instants"] = static_cast<std::uint64_t>(model.instants);
     trace["counter_samples"] =
         static_cast<std::uint64_t>(model.counter_samples);
-    trace["flow_chains"] = static_cast<std::uint64_t>(model.flow_chains);
+    trace["flow_chains"] = static_cast<std::uint64_t>(model.flow_chains.size());
     JsonObject processes;
     for (const auto& [pid, name] : model.process_names) {
       processes[name] = static_cast<std::uint64_t>(pid);
@@ -707,6 +961,15 @@ double tolerance_for(const Json& tolerances, const std::string& bench,
 
 }  // namespace
 
+bool is_bench_report(const std::string& file_name) {
+  constexpr std::string_view kPrefix = "BENCH_";
+  constexpr std::string_view kSuffix = ".json";
+  const std::string_view name = file_name;
+  return name.size() > kPrefix.size() + kSuffix.size() &&
+         name.substr(0, kPrefix.size()) == kPrefix &&
+         name.substr(name.size() - kSuffix.size()) == kSuffix;
+}
+
 BenchDiffResult bench_diff(const std::string& baseline_dir,
                            const std::string& candidate_dir) {
   namespace fs = std::filesystem;
@@ -723,10 +986,7 @@ BenchDiffResult bench_diff(const std::string& baseline_dir,
   std::vector<std::string> files;
   for (const auto& entry : fs::directory_iterator(baseline_dir)) {
     const std::string name = entry.path().filename().string();
-    if (name.rfind("BENCH_", 0) == 0 && name.size() > 11 &&
-        name.compare(name.size() - 5, 5, ".json") == 0) {
-      files.push_back(name);
-    }
+    if (is_bench_report(name)) files.push_back(name);
   }
   std::sort(files.begin(), files.end());
 
@@ -793,7 +1053,7 @@ std::string render_bench_diff(const BenchDiffResult& result) {
            fmt(delta.candidate) + " (rel " + fmt(delta.relative) +
            ", tol " + fmt(delta.tolerance) + ")\n";
   }
-  out += result.ok ? "bench-diff: PASS\n" : "bench-diff: FAIL\n";
+  out += result.ok ? "bench gate: PASS\n" : "bench gate: FAIL\n";
   return out;
 }
 

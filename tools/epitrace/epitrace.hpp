@@ -1,8 +1,10 @@
 // epitrace — the analysis half of observability.
 //
-// src/obs/ records; this library answers. It loads a trace.json /
-// metrics.json pair produced by an obs::Session, reconstructs the span
-// DAG, and computes the quantities a perf investigation starts from:
+// src/obs/ records; this library validates and answers. It loads a
+// trace.json / metrics.json pair produced by an obs::Session, checks it
+// against the one rule set of the trace format (load_trace,
+// check_metrics_json), reconstructs the span DAG, and computes the
+// quantities a perf investigation starts from:
 //
 //   - the critical path per workflow phase (longest chain of
 //     non-overlapping spans inside the phase window, with per-span
@@ -21,7 +23,7 @@
 // It also implements the perf-regression gate: diffing BENCH_<name>.json
 // reports against committed baselines (bench/baselines/) under
 // per-metric relative tolerances (tolerances.json), used by the ci.sh
-// `obs` lane and `epitrace diff`.
+// `obs` lane through `epitrace diff`.
 //
 // Everything here is deterministic: inputs are sorted documents, every
 // ordering below has an explicit tie-break, and no wall clock is read.
@@ -52,15 +54,22 @@ struct Span {
   double end_hours() const { return start_hours + duration_hours; }
 };
 
-/// The loaded trace: spans, lane/process names, counts.
+/// The loaded trace: every rule violation, spans, lane/process names,
+/// counts.
 struct TraceModel {
+  /// Every violation of the trace rules, "event <index>: ..." where one
+  /// event is at fault; empty when the trace is well-formed. Analyses
+  /// must not run on a model with errors.
+  std::vector<std::string> errors;
   std::map<std::uint32_t, std::string> process_names;
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::string> thread_names;
   std::vector<Span> spans;  // sorted by (start, end, pid, tid, name)
-  std::size_t events = 0;
+  std::size_t events = 0;   // non-metadata events
   std::size_t instants = 0;
+  std::map<std::string, std::size_t> instants_by_category;
   std::size_t counter_samples = 0;
-  std::size_t flow_chains = 0;  // completed 's'..'f' chains
+  /// Ids of the completed 's'..'f' chains, in completion order.
+  std::vector<std::string> flow_chains;
   /// Total cluster nodes from the first "slurm.nodes" counter sample
   /// (busy + down + free); 0 when the trace has no DES counters.
   double slurm_total_nodes = 0.0;
@@ -68,10 +77,43 @@ struct TraceModel {
   const std::string& process(std::uint32_t pid) const;
 };
 
-/// Parses a trace document (throws epi::Error when malformed; run
-/// obs::check_trace_json first for a full error list).
+/// Validates and loads a Chrome trace_event document in one pass. The
+/// rules: an object with a "traceEvents" array holding at least one
+/// non-metadata event; every event an object with a one-character ph of
+/// M/B/E/X/i/C/s/t/f and non-negative integer pid/tid; every non-metadata
+/// event a numeric ts, monotone non-decreasing within its (pid, tid)
+/// lane; every 'E' closing an open 'B' on its lane and no 'B' left open;
+/// 'X' with a non-negative numeric dur; a string name on B/X/i/C and flow
+/// events; flow chains ('s'/'t'/'f' sharing a non-empty string id)
+/// started once, continued only while open, never running backwards in
+/// time, and closed by 'f'. Violations are collected into
+/// TraceModel::errors, never thrown; spans are built only from
+/// well-formed events.
 TraceModel load_trace(const Json& doc);
+/// Reads, parses, and loads a trace file; read and parse failures are
+/// reported in TraceModel::errors.
 TraceModel load_trace_file(const std::string& path);
+
+/// A metrics snapshot (the obs::MetricsRegistry shape) and every
+/// violation found in it.
+struct MetricsCheck {
+  Json doc = Json(JsonObject{});  // the checked document
+  std::vector<std::string> errors;
+  std::size_t counters = 0;
+  std::size_t gauges = 0;
+  std::size_t histograms = 0;
+};
+
+/// Validates a metrics snapshot: "counters" (non-negative numbers),
+/// "gauges" (numbers) and "histograms" objects; each histogram with
+/// non-negative integer count/underflow/overflow, a numeric sum, buckets
+/// whose non-negative integer counts sum to count under increasing
+/// bounds closed by "+Inf", and monotone p50/p95/p99 when present.
+/// Violations name the offending member and are collected, never thrown.
+MetricsCheck check_metrics_json(Json doc);
+/// Reads, parses, and checks a metrics file; read and parse failures are
+/// reported as errors.
+MetricsCheck check_metrics_file(const std::string& path);
 
 /// One span on a phase's critical path.
 struct PathSpan {
@@ -190,6 +232,10 @@ struct BenchDiffResult {
   std::vector<BenchDelta> deltas;  // (bench, metric) order
 };
 
+/// True for a bench report file name: "BENCH_<name>.json", name
+/// non-empty.
+bool is_bench_report(const std::string& file_name);
+
 /// Diffs every BENCH_<name>.json in `baseline_dir` against its
 /// counterpart in `candidate_dir` under the per-metric relative
 /// tolerances of <baseline_dir>/tolerances.json ({"default": r,
@@ -199,7 +245,8 @@ struct BenchDiffResult {
 BenchDiffResult bench_diff(const std::string& baseline_dir,
                            const std::string& candidate_dir);
 
-/// Renders a BenchDiffResult as the text `epitrace bench-diff` prints.
+/// Renders a BenchDiffResult as the text `epitrace diff` prints for two
+/// bench report directories.
 std::string render_bench_diff(const BenchDiffResult& result);
 
 }  // namespace epi::epitrace
