@@ -18,7 +18,10 @@
 #   ./ci.sh obs        # epitrace pass: traced nightly run -> epitrace
 #                      # check (trace/metrics rules + self-checks; a
 #                      # corrupted trace must be rejected);
-#                      # traced-vs-untraced byte-identity;
+#                      # traced-vs-untraced byte-identity; a traced
+#                      # calibration cycle -> epitrace check, with its
+#                      # farm stages as exec spans and its stdout and
+#                      # cycle report byte-identical to an untraced run;
 #                      # fig9/table1/comm-volume/fig7 bench reports diffed
 #                      # against bench/baselines/ (clean must pass, an
 #                      # injected 10%+ regression must be flagged)
@@ -208,8 +211,8 @@ run_obs() {
   echo "== observability pass (epitrace) =="
   cmake -B build -S . >/dev/null
   cmake --build build -j "$JOBS" --target nightly_national_run epitrace \
-    bench_fig9_utilization bench_table1_workflows bench_comm_volume \
-    bench_fig7_runtime
+    calibrate_and_forecast bench_fig9_utilization bench_table1_workflows \
+    bench_comm_volume bench_fig7_runtime
 
   # A traced deterministic nightly run (the fig9 workload): validate the
   # emitted files and run the profiler's self-checks — every phase's
@@ -241,6 +244,26 @@ run_obs() {
   cmp build/obs-ci/report-traced.txt build/obs-ci/report-untraced.txt
   cmp build/obs-ci/report-traced.txt build/obs-ci/report-noflow.txt
   echo "observer-effect OK (traced == untraced == flow-off, byte-identical)"
+
+  # The calibration cycle traced end to end: the trace must pass the check,
+  # hold every farm stage (prior design, emulator fit, start pre-scan,
+  # forecast) as labelled exec spans, and leave stdout and the serialized
+  # cycle result byte-identical to an untraced run.
+  EPI_TRACE=build/obs-ci/cycle EPI_DETERMINISTIC_TIMING=1 \
+    EPI_CYCLE_REPORT=build/obs-ci/cycle-report.txt \
+    ./build/examples/calibrate_and_forecast VT 400 24 8 \
+    > build/obs-ci/cycle-traced.txt
+  mv build/obs-ci/cycle-report.txt build/obs-ci/cycle-report-traced.txt
+  EPI_CYCLE_REPORT=build/obs-ci/cycle-report.txt \
+    ./build/examples/calibrate_and_forecast VT 400 24 8 \
+    > build/obs-ci/cycle-untraced.txt
+  ./build/tools/epitrace check build/obs-ci/cycle
+  for stage in prior emulator_fit start_prescan forecast; do
+    grep -q "\"name\":\"$stage\[0\]\"" build/obs-ci/cycle/trace.json
+  done
+  cmp build/obs-ci/cycle-traced.txt build/obs-ci/cycle-untraced.txt
+  cmp build/obs-ci/cycle-report-traced.txt build/obs-ci/cycle-report.txt
+  echo "cycle trace OK (valid, farm stages traced, traced == untraced)"
 
   # Perf-regression gate: fresh fig9/table1 reports must diff clean
   # against the committed baselines...

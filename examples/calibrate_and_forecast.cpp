@@ -2,18 +2,27 @@
 // state against county-level surveillance, then forecast the next eight
 // weeks with uncertainty — the full Fig 4 -> Fig 5 cycle in one program.
 //
-//   $ ./calibrate_and_forecast [state=VA] [scale_denominator=2000] \
+//   $ ./calibrate_and_forecast [state=VA] [scale_denominator=2000]
 //                              [prior_configs=60] [prediction_runs=20]
 //
-// The simulation farm honors EPI_JOBS (worker threads; parallel output is
-// byte-identical to serial), and EPI_CYCLE_REPORT=<path> writes the full
-// serialized CalibrationCycleResult for byte-level comparison across runs.
+// The simulation farm, the emulator fit and the start pre-scan honor
+// EPI_JOBS (worker threads; parallel output is byte-identical to serial),
+// and EPI_CYCLE_REPORT=<path> writes the full serialized
+// CalibrationCycleResult for byte-level comparison across runs. Set
+// EPI_TRACE=<dir> to also write trace.json and metrics.json there (every
+// farm stage as labelled "exec" task spans); EPI_DETERMINISTIC_TIMING=1
+// zeroes wall-clock fields so two traced runs are byte-identical. Trace
+// paths go to stderr, so stdout and the cycle report match an untraced
+// run byte for byte.
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <string>
 
+#include "obs/obs.hpp"
+#include "util/env.hpp"
 #include "util/stats.hpp"
 #include "workflow/calibration_cycle.hpp"
 
@@ -33,6 +42,9 @@ int main(int argc, char** argv) {
       argc > 4 ? static_cast<std::size_t>(std::atoi(argv[4])) : 20;
   config.mcmc.samples = 2000;
   config.mcmc.burn_in = 1500;
+  const std::unique_ptr<obs::Session> session =
+      obs::Session::from_env(env_flag("EPI_DETERMINISTIC_TIMING"));
+  config.trace = session.get();
 
   std::printf("calibration-prediction cycle for %s\n", config.region.c_str());
   std::printf("  prior design: %zu LHS configurations over (TAU, SYMP, SH, VHI)\n",
@@ -80,6 +92,12 @@ int main(int argc, char** argv) {
     std::ofstream out(report_path);
     out << serialize(result);
     std::printf("wrote full result to %s\n", report_path);
+  }
+  if (session != nullptr) {
+    session->write();
+    std::fprintf(stderr, "trace:   %s\nmetrics: %s\n",
+                 session->trace_path().c_str(),
+                 session->metrics_path().c_str());
   }
   return 0;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -31,26 +32,26 @@ Mat design_to_unit_matrix(const CalibrationDesign& design) {
 
 AgentCalibrator::AgentCalibrator(CalibrationDesign design, Mat sim_outputs,
                                  Vec observed, std::uint64_t seed,
-                                 Mat replicate_covariance)
+                                 Mat replicate_covariance,
+                                 exec::ExecConfig farm)
     : design_(std::move(design)),
       rng_(Rng(seed).derive({0x43414cULL})),  // "CAL"
       emulator_(design_to_unit_matrix(design_), std::move(sim_outputs),
-                /*num_basis=*/5, rng_),
-      model_(emulator_, std::move(observed), std::move(replicate_covariance)) {}
+                /*num_basis=*/5, rng_, farm),
+      model_(emulator_, std::move(observed), std::move(replicate_covariance)),
+      farm_(std::move(farm)) {}
 
 AgentCalibrationResult AgentCalibrator::calibrate(
     std::size_t num_posterior_configs, const McmcConfig& mcmc) {
   const std::size_t dims = design_.ranges.size();
   // Chain state: [theta_unit(0..d), log lambda_delta, log lambda_eps].
-  auto log_density = [this](const std::vector<double>& x) {
-    const Vec theta(x.begin(), x.begin() + static_cast<std::ptrdiff_t>(
-                                               design_.ranges.size()));
-    const double lambda_delta = std::exp(x[design_.ranges.size()]);
-    const double lambda_eps = std::exp(x[design_.ranges.size() + 1]);
+  auto density = [this, dims](const std::vector<double>& x,
+                              GpmsaCalibrationModel::Workspace& ws) {
     // + log-Jacobian of the log transform so the gamma priors apply on the
     // precision scale.
-    return model_.log_posterior(theta, lambda_delta, lambda_eps) +
-           x[design_.ranges.size()] + x[design_.ranges.size() + 1];
+    return model_.log_posterior(std::span(x.data(), dims), std::exp(x[dims]),
+                                std::exp(x[dims + 1]), ws) +
+           x[dims] + x[dims + 1];
   };
 
   // The emulated posterior surface can be multi-modal; a random-walk chain
@@ -67,20 +68,40 @@ AgentCalibrationResult AgentCalibrator::calibrate(
     for (const auto& point : design_.points) {
       candidates.push_back(scale_to_unit(point, design_.ranges));
     }
-    double best = log_density(initial);
+    std::vector<std::vector<double>> starts = {initial};
     for (const auto& candidate : candidates) {
-      std::vector<double> x(candidate.begin(), candidate.end());
+      std::vector<double>& x = starts.emplace_back(candidate.begin(),
+                                                   candidate.end());
       x.push_back(initial[dims]);
       x.push_back(initial[dims + 1]);
-      const double lp = log_density(x);
-      if (lp > best) {
-        best = lp;
-        initial = std::move(x);
-      }
     }
+    // Starts are scored on the farm in fixed blocks (one workspace per
+    // block); the strict-> scan over the scores then runs in start order,
+    // exactly as the serial loop did.
+    exec::ExecConfig scan_farm = farm_;
+    scan_farm.label = "start_prescan";
+    const Vec scores = exec::parallel_block_map(
+        starts.size(), /*block=*/16,
+        [&](std::size_t begin, std::size_t end) {
+          GpmsaCalibrationModel::Workspace ws;
+          Vec block;
+          for (std::size_t i = begin; i < end; ++i) {
+            block.push_back(density(starts[i], ws));
+          }
+          return block;
+        },
+        scan_farm);
+    std::size_t best_index = 0;
+    for (std::size_t i = 1; i < scores.size(); ++i) {
+      if (scores[i] > scores[best_index]) best_index = i;
+    }
+    initial = std::move(starts[best_index]);
   }
   Rng mcmc_rng = rng_.derive({0x4d434dULL});  // "MCM"
-  McmcResult chain = metropolis(log_density, initial, mcmc, mcmc_rng);
+  GpmsaCalibrationModel::Workspace chain_ws;
+  McmcResult chain = metropolis(
+      [&](const std::vector<double>& x) { return density(x, chain_ws); },
+      initial, mcmc, mcmc_rng);
 
   AgentCalibrationResult result;
   result.acceptance_rate = chain.acceptance_rate;

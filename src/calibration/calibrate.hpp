@@ -17,6 +17,7 @@
 
 #include "calibration/mcmc.hpp"
 #include "emulator/gpmsa.hpp"
+#include "exec/executor.hpp"
 #include "metapop/metapop.hpp"
 #include "util/lhs.hpp"
 
@@ -60,8 +61,14 @@ class AgentCalibrator {
   /// `observed`: the (log-transformed) ground-truth series, same length.
   /// `replicate_covariance` (optional): simulator replicate-noise
   /// covariance handed to the GPMSA likelihood.
+  /// `farm`: jobs and trace sinks for the two embarrassingly parallel
+  /// stages, the emulator's hyperparameter search ("emulator_fit" tasks)
+  /// and calibrate()'s start pre-scan ("start_prescan" tasks). Both reduce
+  /// in index order, so results are identical at any job count. The
+  /// Metropolis chain itself stays serial.
   AgentCalibrator(CalibrationDesign design, Mat sim_outputs, Vec observed,
-                  std::uint64_t seed, Mat replicate_covariance = {});
+                  std::uint64_t seed, Mat replicate_covariance = {},
+                  exec::ExecConfig farm = {});
 
   /// Runs MCMC over (theta, lambda_delta, lambda_eps) and resamples
   /// `num_posterior_configs` configurations from the posterior.
@@ -76,6 +83,7 @@ class AgentCalibrator {
   Rng rng_;
   MultivariateEmulator emulator_;
   GpmsaCalibrationModel model_;
+  exec::ExecConfig farm_;
 };
 
 /// Direct-simulation calibration of the metapopulation model (Eq 6).

@@ -37,15 +37,18 @@ McmcResult metropolis(
   // scales — e.g. unit-cube parameters vs log-precisions).
   std::vector<double> moment1(dims, 0.0), moment2(dims, 0.0);
   std::size_t moment_count = 0;
+  // Buffers reused across iterations: an accepted proposal is swapped
+  // into `current`, and the next proposal overwrites every entry.
+  std::vector<double> proposal(dims);
+  std::vector<double> empirical_sd(dims);
   for (std::size_t it = 0; it < total_iterations; ++it) {
-    std::vector<double> proposal(dims);
     for (std::size_t d = 0; d < dims; ++d) {
       proposal[d] = current[d] + rng.normal(0.0, step[d]);
     }
     const double proposal_density = log_density(proposal);
     const double log_ratio = proposal_density - current_density;
     if (log_ratio >= 0.0 || rng.uniform() < std::exp(log_ratio)) {
-      current = std::move(proposal);
+      current.swap(proposal);
       current_density = proposal_density;
       ++(it < config.burn_in ? accepted_burn_in : accepted_post);
       ++window_accepted;
@@ -76,7 +79,6 @@ McmcResult metropolis(
         const double scale =
             2.4 / std::sqrt(static_cast<double>(dims));
         double geometric_mean = 1.0;
-        std::vector<double> empirical_sd(dims);
         for (std::size_t d = 0; d < dims; ++d) {
           const double m = moment1[d] / static_cast<double>(moment_count);
           const double var =

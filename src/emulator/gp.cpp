@@ -1,21 +1,39 @@
 #include "emulator/gp.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/error.hpp"
 
 namespace epi {
 
+namespace {
+
+/// R(a, b; rho) given log(rho_k): rho^{4 d^2} computed in log space for
+/// stability.
+double correlation(const double* a, const double* b, const double* log_rho,
+                   std::size_t dims) {
+  double log_corr = 0.0;
+  for (std::size_t k = 0; k < dims; ++k) {
+    const double d = a[k] - b[k];
+    log_corr += 4.0 * d * d * log_rho[k];
+  }
+  return std::exp(log_corr);
+}
+
+Vec log_of(const Vec& rho) {
+  Vec out(rho.size());
+  for (std::size_t k = 0; k < rho.size(); ++k) out[k] = std::log(rho[k]);
+  return out;
+}
+
+}  // namespace
+
 double gp_correlation(const Vec& a, const Vec& b, const Vec& rho) {
   EPI_REQUIRE(a.size() == b.size() && a.size() == rho.size(),
               "gp_correlation dimension mismatch");
-  double log_corr = 0.0;
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    const double d = a[k] - b[k];
-    // rho^{4 d^2} computed in log space for stability.
-    log_corr += 4.0 * d * d * std::log(rho[k]);
-  }
-  return std::exp(log_corr);
+  return correlation(a.data(), b.data(), log_of(rho).data(), a.size());
 }
 
 double GpHyperparams::log_prior() const {
@@ -39,38 +57,51 @@ GaussianProcess::GaussianProcess(Mat inputs, Vec outputs, GpHyperparams params)
       outputs_(std::move(outputs)),
       params_(std::move(params)) {
   const std::size_t n = inputs_.rows();
+  const std::size_t dims = inputs_.cols();
   EPI_REQUIRE(n == outputs_.size(), "GP inputs/outputs length mismatch");
-  EPI_REQUIRE(params_.rho.size() == inputs_.cols(),
-              "GP rho dimension mismatch");
+  EPI_REQUIRE(params_.rho.size() == dims, "GP rho dimension mismatch");
   EPI_REQUIRE(params_.lambda_w > 0.0 && params_.lambda_nugget > 0.0,
               "GP precisions must be positive");
-  Mat k(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Vec xi = inputs_.row(i);
-    for (std::size_t j = 0; j <= i; ++j) {
-      const double c =
-          gp_correlation(xi, inputs_.row(j), params_.rho) / params_.lambda_w;
-      k.at(i, j) = c;
-      k.at(j, i) = c;
+  log_rho_ = log_of(params_.rho);
+  // Row j of the factor's storage holds column j of K's lower triangle,
+  // K(i, j) = R(x_i, x_j) / lambda_w for i >= j (plus the nugget on the
+  // diagonal): the only entries the factorization reads.
+  chol_ = Mat(n, n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const double* xj = inputs_.row_data(j);
+    double* kj = chol_.row_data(j);
+    for (std::size_t i = j; i < n; ++i) {
+      kj[i] = correlation(inputs_.row_data(i), xj, log_rho_.data(), dims) /
+              params_.lambda_w;
     }
-    k.at(i, i) += 1.0 / params_.lambda_nugget + 1e-10;
+    kj[j] += 1.0 / params_.lambda_nugget + 1e-10;
   }
-  chol_ = cholesky(k);
-  alpha_ = cholesky_solve(chol_, outputs_);
+  cholesky_upper_in_place(chol_);
+  alpha_ = outputs_;
+  forward_substitute_upper(chol_, alpha_);
+  back_substitute_upper(chol_, alpha_);
 }
 
 GaussianProcess::Prediction GaussianProcess::predict(const Vec& x) const {
+  Vec scratch;
+  return predict(x, scratch);
+}
+
+GaussianProcess::Prediction GaussianProcess::predict(
+    std::span<const double> x, Vec& scratch) const {
+  EPI_REQUIRE(x.size() == inputs_.cols(), "GP input dimension mismatch");
   const std::size_t n = inputs_.rows();
-  Vec k_star(n);
+  scratch.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    k_star[i] =
-        gp_correlation(x, inputs_.row(i), params_.rho) / params_.lambda_w;
+    scratch[i] = correlation(x.data(), inputs_.row_data(i), log_rho_.data(),
+                             x.size()) /
+                 params_.lambda_w;
   }
   Prediction p;
-  p.mean = dot(k_star, alpha_);
-  const Vec v = solve_lower(chol_, k_star);
+  p.mean = dot(scratch, alpha_);
+  forward_substitute_upper(chol_, scratch);
   const double prior_var = 1.0 / params_.lambda_w + 1.0 / params_.lambda_nugget;
-  p.variance = std::max(1e-12, prior_var - dot(v, v));
+  p.variance = std::max(1e-12, prior_var - dot(scratch, scratch));
   return p;
 }
 
@@ -82,30 +113,55 @@ double GaussianProcess::log_marginal_likelihood() const {
 
 GpHyperparams fit_gp_hyperparams(const Mat& inputs, const Vec& outputs,
                                  Rng& rng, std::size_t trials) {
+  const auto candidates =
+      draw_gp_hyperparam_candidates(inputs.cols(), rng, trials);
+  Vec scores;
+  scores.reserve(candidates.size());
+  for (const GpHyperparams& candidate : candidates) {
+    scores.push_back(gp_hyperparam_score(inputs, outputs, candidate));
+  }
+  return best_gp_hyperparams(candidates, scores);
+}
+
+std::vector<GpHyperparams> draw_gp_hyperparam_candidates(std::size_t dims,
+                                                         Rng& rng,
+                                                         std::size_t trials) {
   EPI_REQUIRE(trials > 0, "need at least one hyperparameter trial");
-  GpHyperparams best;
-  best.rho.assign(inputs.cols(), 0.5);
-  double best_score = -1e300;
-  for (std::size_t trial = 0; trial < trials; ++trial) {
-    GpHyperparams candidate;
-    candidate.rho.resize(inputs.cols());
+  std::vector<GpHyperparams> candidates(trials);
+  for (GpHyperparams& candidate : candidates) {
+    candidate.rho.resize(dims);
     for (double& r : candidate.rho) r = rng.uniform(0.05, 0.98);
     candidate.lambda_w = std::exp(rng.uniform(-1.5, 1.5));
     candidate.lambda_nugget = std::exp(rng.uniform(3.0, 9.0));
-    double score;
-    try {
-      const GaussianProcess gp(inputs, outputs, candidate);
-      score = gp.log_marginal_likelihood() + candidate.log_prior();
-    } catch (const NumericError&) {
-      continue;  // non-PD covariance at extreme hyperparameters
-    }
-    if (score > best_score) {
-      best_score = score;
-      best = candidate;
+  }
+  return candidates;
+}
+
+double gp_hyperparam_score(const Mat& inputs, const Vec& outputs,
+                           const GpHyperparams& candidate) {
+  try {
+    const GaussianProcess gp(inputs, outputs, candidate);
+    return gp.log_marginal_likelihood() + candidate.log_prior();
+  } catch (const NumericError&) {
+    // Non-PD covariance at extreme hyperparameters.
+    return -std::numeric_limits<double>::infinity();
+  }
+}
+
+GpHyperparams best_gp_hyperparams(
+    const std::vector<GpHyperparams>& candidates, const Vec& scores) {
+  EPI_REQUIRE(candidates.size() == scores.size() && !candidates.empty(),
+              "one score per hyperparameter candidate");
+  std::size_t best = 0;
+  double best_score = -1e300;
+  for (std::size_t trial = 0; trial < candidates.size(); ++trial) {
+    if (scores[trial] > best_score) {
+      best_score = scores[trial];
+      best = trial;
     }
   }
   EPI_REQUIRE(best_score > -1e299, "GP hyperparameter search found no valid fit");
-  return best;
+  return candidates[best];
 }
 
 }  // namespace epi

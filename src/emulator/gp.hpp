@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "emulator/linalg.hpp"
@@ -42,6 +43,11 @@ class GaussianProcess {
 
   Prediction predict(const Vec& x) const;
 
+  /// Allocation-free form for hot loops: `scratch` is resized to the
+  /// training-point count (a no-op after the first call) and overwritten.
+  /// Bitwise the same result as predict(x).
+  Prediction predict(std::span<const double> x, Vec& scratch) const;
+
   /// Log marginal likelihood of the training outputs under the GP.
   double log_marginal_likelihood() const;
 
@@ -51,14 +57,33 @@ class GaussianProcess {
   Mat inputs_;
   Vec outputs_;
   GpHyperparams params_;
-  Mat chol_;       // Cholesky factor of the covariance
+  Vec log_rho_;    // log(rho_k), precomputed once
+  Mat chol_;       // U = Lᵀ of the covariance K = L Lᵀ (linalg.hpp layout)
   Vec alpha_;      // K^{-1} y
 };
 
 /// MAP-estimates hyperparameters by random search over (rho, lambda_w,
 /// lambda_nugget), scoring log marginal likelihood + log prior. Cheap and
-/// robust for ~100-point designs.
+/// robust for ~100-point designs. The three steps are exposed below so a
+/// caller can score the candidates on a farm.
+constexpr std::size_t kGpSearchTrials = 60;
 GpHyperparams fit_gp_hyperparams(const Mat& inputs, const Vec& outputs,
-                                 Rng& rng, std::size_t trials = 60);
+                                 Rng& rng,
+                                 std::size_t trials = kGpSearchTrials);
+
+/// The search's candidates, drawn from `rng` in trial order.
+std::vector<GpHyperparams> draw_gp_hyperparam_candidates(std::size_t dims,
+                                                         Rng& rng,
+                                                         std::size_t trials);
+
+/// One candidate's search score: log marginal likelihood + log prior, or
+/// -infinity when its covariance is not positive definite (never chosen).
+double gp_hyperparam_score(const Mat& inputs, const Vec& outputs,
+                           const GpHyperparams& candidate);
+
+/// The candidate with the strictly highest score, scanned in trial order
+/// (ties keep the earlier trial). Throws when no candidate scored.
+GpHyperparams best_gp_hyperparams(
+    const std::vector<GpHyperparams>& candidates, const Vec& scores);
 
 }  // namespace epi

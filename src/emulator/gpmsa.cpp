@@ -7,7 +7,8 @@
 namespace epi {
 
 MultivariateEmulator::MultivariateEmulator(Mat design, Mat outputs,
-                                           std::size_t num_basis, Rng& rng)
+                                           std::size_t num_basis, Rng& rng,
+                                           const exec::ExecConfig& farm)
     : design_(std::move(design)) {
   const std::size_t m = design_.rows();
   const std::size_t t = outputs.cols();
@@ -51,7 +52,8 @@ MultivariateEmulator::MultivariateEmulator(Mat design, Mat outputs,
   const Mat weights = matmul(centered, basis_);
 
   // Independent GP per coefficient, MAP hyperparameters.
-  gps_.reserve(num_basis);
+  std::vector<Vec> coefficients(num_basis);
+  std::vector<std::vector<GpHyperparams>> candidates(num_basis);
   for (std::size_t k = 0; k < num_basis; ++k) {
     Vec w = weights.col(k);
     // Normalize coefficient scale so the lambda_w prior (centered at 1)
@@ -61,22 +63,52 @@ MultivariateEmulator::MultivariateEmulator(Mat design, Mat outputs,
     w_var = std::max(1e-12, w_var / static_cast<double>(m));
     coeff_scales_.push_back(std::sqrt(w_var));
     for (double& x : w) x /= coeff_scales_.back();
+    coefficients[k] = std::move(w);
     Rng gp_rng = rng.derive({0x475053ULL, k});  // "GPS"
-    const GpHyperparams params = fit_gp_hyperparams(design_, w, gp_rng);
-    gps_.emplace_back(design_, std::move(w), params);
+    candidates[k] =
+        draw_gp_hyperparam_candidates(design_.cols(), gp_rng, kGpSearchTrials);
+  }
+  exec::ExecConfig fit_farm = farm;
+  fit_farm.label = "emulator_fit";
+  const Vec scores = exec::parallel_block_map(
+      num_basis * kGpSearchTrials, /*block=*/10,
+      [&](std::size_t begin, std::size_t end) {
+        Vec block;
+        for (std::size_t task = begin; task < end; ++task) {
+          const std::size_t k = task / kGpSearchTrials;
+          block.push_back(gp_hyperparam_score(
+              design_, coefficients[k], candidates[k][task % kGpSearchTrials]));
+        }
+        return block;
+      },
+      fit_farm);
+  gps_.reserve(num_basis);
+  for (std::size_t k = 0; k < num_basis; ++k) {
+    const auto first =
+        scores.begin() + static_cast<std::ptrdiff_t>(k * kGpSearchTrials);
+    const GpHyperparams params = best_gp_hyperparams(
+        candidates[k], Vec(first, first + kGpSearchTrials));
+    gps_.emplace_back(design_, std::move(coefficients[k]), params);
   }
 }
 
 MultivariateEmulator::CurvePrediction MultivariateEmulator::predict(
     const Vec& theta_unit) const {
+  CurvePrediction out;
+  Vec scratch;
+  predict(theta_unit, out, scratch);
+  return out;
+}
+
+void MultivariateEmulator::predict(std::span<const double> theta_unit,
+                                   CurvePrediction& out, Vec& scratch) const {
   EPI_REQUIRE(theta_unit.size() == design_.cols(),
               "theta dimension mismatch");
   const std::size_t t = phi0_.size();
-  CurvePrediction out;
   out.mean = phi0_;
   out.variance.assign(t, 0.0);
   for (std::size_t k = 0; k < gps_.size(); ++k) {
-    const auto p = gps_[k].predict(theta_unit);
+    const auto p = gps_[k].predict(theta_unit, scratch);
     const double mean_k = p.mean * coeff_scales_[k] * scale_;
     const double var_k =
         p.variance * coeff_scales_[k] * coeff_scales_[k] * scale_ * scale_;
@@ -86,7 +118,6 @@ MultivariateEmulator::CurvePrediction MultivariateEmulator::predict(
       out.variance[j] += phi * phi * var_k;
     }
   }
-  return out;
 }
 
 Mat discrepancy_basis(std::size_t series_length, double kernel_sd,
@@ -116,48 +147,67 @@ GpmsaCalibrationModel::GpmsaCalibrationModel(
     Mat replicate_covariance)
     : emulator_(emulator),
       observed_(std::move(observed)),
-      replicate_covariance_(std::move(replicate_covariance)) {
+      replicate_covariance_t_(replicate_covariance.transposed()) {
   EPI_REQUIRE(observed_.size() == emulator_.output_length(),
               "observed series length (" << observed_.size()
                                          << ") must match emulator output ("
                                          << emulator_.output_length() << ")");
-  if (replicate_covariance_.rows() != 0) {
-    EPI_REQUIRE(replicate_covariance_.rows() == observed_.size() &&
-                    replicate_covariance_.cols() == observed_.size(),
+  if (replicate_covariance_t_.rows() != 0) {
+    EPI_REQUIRE(replicate_covariance_t_.rows() == observed_.size() &&
+                    replicate_covariance_t_.cols() == observed_.size(),
                 "replicate covariance must be T x T");
   }
   discrepancy_ = discrepancy_basis(observed_.size());
-  discrepancy_gram_ = matmul(discrepancy_, discrepancy_.transposed());
+  discrepancy_gram_t_ =
+      matmul(discrepancy_, discrepancy_.transposed()).transposed();
 }
 
 double GpmsaCalibrationModel::log_posterior(const Vec& theta_unit,
                                             double lambda_delta,
                                             double lambda_eps) const {
+  Workspace workspace;
+  return log_posterior(theta_unit, lambda_delta, lambda_eps, workspace);
+}
+
+double GpmsaCalibrationModel::log_posterior(std::span<const double> theta_unit,
+                                            double lambda_delta,
+                                            double lambda_eps,
+                                            Workspace& ws) const {
   for (double x : theta_unit) {
     if (x < 0.0 || x > 1.0) return -1e300;  // uniform prior support
   }
   if (lambda_delta <= 0.0 || lambda_eps <= 0.0) return -1e300;
 
-  const auto eta = emulator_.predict(theta_unit);
+  emulator_.predict(theta_unit, ws.eta, ws.gp_scratch);
   const std::size_t t = observed_.size();
-  Mat cov = discrepancy_gram_;
-  for (std::size_t i = 0; i < t; ++i) {
-    for (std::size_t j = 0; j < t; ++j) {
-      cov.at(i, j) /= lambda_delta;
-      if (replicate_covariance_.rows() != 0) {
-        cov.at(i, j) += replicate_covariance_.at(i, j);
-      }
+  // Covariance diag(eta var) + D D^T / lambda_delta (+ replicate cov) +
+  // I / lambda_eps: only the lower triangle, which is all the
+  // factorization reads, built column by column into the factor layout.
+  if (ws.factor.rows() != t) ws.factor = Mat(t, t);
+  const bool replicates = replicate_covariance_t_.rows() != 0;
+  for (std::size_t j = 0; j < t; ++j) {
+    const double* gram = discrepancy_gram_t_.row_data(j);
+    double* col = ws.factor.row_data(j);
+    for (std::size_t i = j; i < t; ++i) col[i] = gram[i] / lambda_delta;
+    if (replicates) {
+      const double* rep = replicate_covariance_t_.row_data(j);
+      for (std::size_t i = j; i < t; ++i) col[i] += rep[i];
     }
-    cov.at(i, i) += eta.variance[i] + 1.0 / lambda_eps + 1e-9;
+    col[j] += ws.eta.variance[j] + 1.0 / lambda_eps + 1e-9;
   }
-  Vec residual(t);
-  for (std::size_t i = 0; i < t; ++i) residual[i] = observed_[i] - eta.mean[i];
+  ws.residual.resize(t);
+  for (std::size_t i = 0; i < t; ++i) {
+    ws.residual[i] = observed_[i] - ws.eta.mean[i];
+  }
 
   double log_lik;
   try {
-    const Mat l = cholesky(cov);
-    const Vec alpha = cholesky_solve(l, residual);
-    log_lik = -0.5 * dot(residual, alpha) - 0.5 * log_det_from_cholesky(l);
+    cholesky_upper_in_place(ws.factor);
+    ws.alpha = ws.residual;
+    forward_substitute_upper(ws.factor, ws.alpha);
+    back_substitute_upper(ws.factor, ws.alpha);
+    log_lik = -0.5 * dot(ws.residual, ws.alpha) -
+              0.5 * log_det_from_cholesky(ws.factor);
   } catch (const NumericError&) {
     return -1e300;
   }
@@ -184,9 +234,9 @@ GpmsaCalibrationModel::Band GpmsaCalibrationModel::predictive_band(
   band.mean = eta.mean;
   band.sd.resize(eta.mean.size());
   for (std::size_t i = 0; i < eta.mean.size(); ++i) {
-    const double disc_var = discrepancy_gram_.at(i, i) / lambda_delta;
-    const double rep_var = replicate_covariance_.rows() != 0
-                               ? replicate_covariance_.at(i, i)
+    const double disc_var = discrepancy_gram_t_.at(i, i) / lambda_delta;
+    const double rep_var = replicate_covariance_t_.rows() != 0
+                               ? replicate_covariance_t_.at(i, i)
                                : 0.0;
     band.sd[i] =
         std::sqrt(eta.variance[i] + disc_var + rep_var + 1.0 / lambda_eps);

@@ -13,10 +13,12 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "emulator/gp.hpp"
 #include "emulator/linalg.hpp"
+#include "exec/executor.hpp"
 #include "util/rng.hpp"
 
 namespace epi {
@@ -28,8 +30,12 @@ class MultivariateEmulator {
   /// `outputs`: m x T simulator outputs (one row per design point; the
   /// calibration workflow feeds logged cumulative case counts).
   /// `num_basis`: p_eta (paper value 5).
+  /// `farm`: where the hyperparameter search runs. The (basis, trial)
+  /// candidates are scored in "emulator_fit" tasks of ten; they are drawn
+  /// serially from each basis's derived stream beforehand and the argmax
+  /// is taken in trial order, so the fit is identical at any job count.
   MultivariateEmulator(Mat design, Mat outputs, std::size_t num_basis,
-                       Rng& rng);
+                       Rng& rng, const exec::ExecConfig& farm = {});
 
   struct CurvePrediction {
     Vec mean;      // length T
@@ -38,6 +44,12 @@ class MultivariateEmulator {
 
   /// Emulated simulator output at an untried setting (unit-cube coords).
   CurvePrediction predict(const Vec& theta_unit) const;
+
+  /// Allocation-free form for hot loops: overwrites `out` (its vectors
+  /// keep their storage) and uses `scratch` for the per-basis GP solves.
+  /// Bitwise the same result as predict(theta_unit).
+  void predict(std::span<const double> theta_unit, CurvePrediction& out,
+               Vec& scratch) const;
 
   std::size_t output_length() const { return phi0_.size(); }
   std::size_t input_dims() const { return design_.cols(); }
@@ -78,6 +90,23 @@ class GpmsaCalibrationModel {
   double log_posterior(const Vec& theta_unit, double lambda_delta,
                        double lambda_eps) const;
 
+  /// Per-caller scratch for log_posterior. The model itself holds no
+  /// mutable state, so concurrent evaluations are safe as long as each
+  /// thread brings its own workspace; after the first call on a
+  /// workspace an evaluation allocates nothing.
+  struct Workspace {
+    Mat factor;  // T x T: the covariance, then its factor (linalg layout)
+    Vec residual;
+    Vec alpha;
+    MultivariateEmulator::CurvePrediction eta;
+    Vec gp_scratch;
+  };
+
+  /// Allocation-free form; bitwise the same value as the form above.
+  double log_posterior(std::span<const double> theta_unit,
+                       double lambda_delta, double lambda_eps,
+                       Workspace& workspace) const;
+
   /// Posterior-predictive band at theta: emulator mean, with total sd
   /// including discrepancy and observation noise.
   struct Band {
@@ -93,8 +122,11 @@ class GpmsaCalibrationModel {
   const MultivariateEmulator& emulator_;
   Vec observed_;
   Mat discrepancy_;       // T x p_delta
-  Mat discrepancy_gram_;  // D D^T (T x T), precomputed
-  Mat replicate_covariance_;  // T x T or empty
+  // Both T x T matrices are stored transposed, so row j holds column j of
+  // the lower triangle log_posterior reads (linalg.hpp's factor layout);
+  // the diagonal predictive_band reads is unchanged.
+  Mat discrepancy_gram_t_;  // (D D^T)ᵀ, precomputed
+  Mat replicate_covariance_t_;  // T x T or empty
 };
 
 }  // namespace epi

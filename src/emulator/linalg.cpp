@@ -1,6 +1,9 @@
 #include "emulator/linalg.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -93,55 +96,155 @@ Vec vec_scale(const Vec& a, double s) {
   return out;
 }
 
+namespace {
+
+// Two doubles per SSE2 register (a GCC/Clang vector extension, part of
+// the baseline x86-64 ISA, so no compiler flag). Lane-wise arithmetic is
+// the scalar IEEE arithmetic, so packing two independent entries into one
+// register changes no bits.
+using Pair = double __attribute__((vector_size(16)));
+
+Pair load_pair(const double* p) {
+  Pair v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void store_pair(double* p, Pair v) { std::memcpy(p, &v, sizeof v); }
+
+/// y[k] -= x[k] * s for k < count.
+void subtract_scaled(double* y, const double* x, double s, std::size_t count) {
+  std::size_t k = 0;
+  for (; k + 2 <= count; k += 2) {
+    store_pair(y + k, load_pair(y + k) - load_pair(x + k) * s);
+  }
+  for (; k < count; ++k) y[k] -= x[k] * s;
+}
+
+/// y[k] /= d for k < count.
+void divide(double* y, double d, std::size_t count) {
+  std::size_t k = 0;
+  for (; k + 2 <= count; k += 2) store_pair(y + k, load_pair(y + k) / d);
+  for (; k < count; ++k) y[k] /= d;
+}
+
+/// Lᵀ of a lower-triangular L, with a zero strict lower triangle.
+Mat upper_from_lower(const Mat& l) {
+  const std::size_t n = l.rows();
+  Mat u(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) u.at(j, i) = l.at(i, j);
+  }
+  return u;
+}
+
+}  // namespace
+
 Mat cholesky(const Mat& k) {
   EPI_REQUIRE(k.rows() == k.cols(), "cholesky needs a square matrix");
-  const std::size_t n = k.rows();
-  Mat l(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      double sum = k.at(i, j);
-      for (std::size_t m = 0; m < j; ++m) sum -= l.at(i, m) * l.at(j, m);
-      if (i == j) {
-        if (sum <= 0.0) {
-          throw NumericError("cholesky: matrix not positive definite at pivot " +
-                             std::to_string(i));
-        }
-        l.at(i, i) = std::sqrt(sum);
-      } else {
-        l.at(i, j) = sum / l.at(j, j);
+  Mat u = upper_from_lower(k);
+  cholesky_upper_in_place(u);
+  return u.transposed();
+}
+
+void cholesky_upper_in_place(Mat& a) {
+  EPI_REQUIRE(a.rows() == a.cols(), "cholesky needs a square matrix");
+  const std::size_t n = a.rows();
+  for (std::size_t j = 0; j < n; ++j) {
+    // Row j of U holds column j of K's lower triangle; entry i (i >= j)
+    // becomes K(i,j) - sum over m < j of U(m,i) U(m,j), the rows of U read
+    // in m order. Eight entries (four register pairs) advance together,
+    // so their dependency chains overlap.
+    double* uj = a.row_data(j);
+    std::size_t i = j;
+    for (; i + 8 <= n; i += 8) {
+      Pair s0 = load_pair(uj + i), s1 = load_pair(uj + i + 2);
+      Pair s2 = load_pair(uj + i + 4), s3 = load_pair(uj + i + 6);
+      for (std::size_t m = 0; m < j; ++m) {
+        const double* um = a.row_data(m);
+        const double x = um[j];
+        s0 -= load_pair(um + i) * x;
+        s1 -= load_pair(um + i + 2) * x;
+        s2 -= load_pair(um + i + 4) * x;
+        s3 -= load_pair(um + i + 6) * x;
       }
+      store_pair(uj + i, s0);
+      store_pair(uj + i + 2, s1);
+      store_pair(uj + i + 4, s2);
+      store_pair(uj + i + 6, s3);
     }
+    for (; i + 2 <= n; i += 2) {
+      Pair s = load_pair(uj + i);
+      for (std::size_t m = 0; m < j; ++m) {
+        const double* um = a.row_data(m);
+        s -= load_pair(um + i) * um[j];
+      }
+      store_pair(uj + i, s);
+    }
+    for (; i < n; ++i) {
+      double s = uj[i];
+      for (std::size_t m = 0; m < j; ++m) {
+        const double* um = a.row_data(m);
+        s -= um[i] * um[j];
+      }
+      uj[i] = s;
+    }
+    if (uj[j] <= 0.0) {
+      throw NumericError("cholesky: matrix not positive definite at pivot " +
+                         std::to_string(j));
+    }
+    const double pivot = std::sqrt(uj[j]);
+    uj[j] = pivot;
+    divide(uj + j + 1, pivot, n - j - 1);
   }
-  return l;
+}
+
+void forward_substitute_upper(const Mat& u, Vec& y) {
+  EPI_REQUIRE(u.rows() == y.size() && u.cols() == y.size(),
+              "forward substitution shape mismatch");
+  const std::size_t n = y.size();
+  for (std::size_t j = 0; j < n; ++j) {
+    const double* row = u.row_data(j);
+    const double yj = y[j] / row[j];
+    y[j] = yj;
+    subtract_scaled(y.data() + j + 1, row + j + 1, yj, n - j - 1);
+  }
+}
+
+void back_substitute_upper(const Mat& u, Vec& x) {
+  EPI_REQUIRE(u.rows() == x.size() && u.cols() == x.size(),
+              "back substitution shape mismatch");
+  const std::size_t n = x.size();
+  for (std::size_t ii = n; ii > 0; --ii) {
+    const std::size_t i = ii - 1;
+    const double* row = u.row_data(i);
+    double sum = x[i];
+    for (std::size_t j = i + 1; j < n; ++j) sum -= row[j] * x[j];
+    x[i] = sum / row[i];
+  }
 }
 
 Vec solve_lower(const Mat& l, const Vec& b) {
-  EPI_REQUIRE(l.rows() == b.size(), "solve_lower shape mismatch");
-  const std::size_t n = b.size();
-  Vec y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double sum = b[i];
-    for (std::size_t j = 0; j < i; ++j) sum -= l.at(i, j) * y[j];
-    y[i] = sum / l.at(i, i);
-  }
+  EPI_REQUIRE(l.rows() == l.cols(), "solve_lower needs a square factor");
+  Vec y = b;
+  forward_substitute_upper(upper_from_lower(l), y);
   return y;
 }
 
 Vec solve_lower_transpose(const Mat& l, const Vec& y) {
-  EPI_REQUIRE(l.rows() == y.size(), "solve_lower_transpose shape mismatch");
-  const std::size_t n = y.size();
-  Vec x(n);
-  for (std::size_t ii = n; ii > 0; --ii) {
-    const std::size_t i = ii - 1;
-    double sum = y[i];
-    for (std::size_t j = i + 1; j < n; ++j) sum -= l.at(j, i) * x[j];
-    x[i] = sum / l.at(i, i);
-  }
+  EPI_REQUIRE(l.rows() == l.cols(), "solve_lower_transpose needs a square factor");
+  Vec x = y;
+  back_substitute_upper(upper_from_lower(l), x);
   return x;
 }
 
 Vec cholesky_solve(const Mat& l, const Vec& b) {
-  return solve_lower_transpose(l, solve_lower(l, b));
+  EPI_REQUIRE(l.rows() == l.cols(), "cholesky_solve needs a square factor");
+  const Mat u = upper_from_lower(l);
+  Vec x = b;
+  forward_substitute_upper(u, x);
+  back_substitute_upper(u, x);
+  return x;
 }
 
 double log_det_from_cholesky(const Mat& l) {

@@ -45,6 +45,7 @@
 // stay byte-reproducible.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <exception>
@@ -56,6 +57,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/error.hpp"
 #include "util/timer.hpp"
 
 namespace epi::exec {
@@ -238,6 +240,32 @@ auto parallel_map(const std::vector<Item>& items, Fn&& fn,
         }
       },
       config);
+}
+
+/// parallel_index_map over `count` items grouped into tasks of `block`
+/// consecutive indices (the last task takes the remainder): fn(begin, end)
+/// returns the results for [begin, end) in order, and the flattened
+/// results come back in item order. For items too small to be a task each,
+/// or that share per-task scratch. The grouping is fixed by `block`, never
+/// by the worker count.
+template <typename Fn>
+auto parallel_block_map(std::size_t count, std::size_t block, Fn&& fn,
+                        const ExecConfig& config = {}) {
+  EPI_REQUIRE(block > 0, "parallel_block_map needs a positive block size");
+  const std::size_t tasks = (count + block - 1) / block;
+  auto parts = parallel_index_map(
+      tasks,
+      [&](std::size_t task) {
+        const std::size_t begin = task * block;
+        return fn(begin, std::min(count, begin + block));
+      },
+      config);
+  typename decltype(parts)::value_type results;
+  results.reserve(count);
+  for (auto& part : parts) {
+    for (auto& item : part) results.push_back(std::move(item));
+  }
+  return results;
 }
 
 }  // namespace epi::exec

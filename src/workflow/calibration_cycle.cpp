@@ -242,11 +242,14 @@ CalibrationCycleResult finish_calibration_cycle(
 
   // --- Emulator-based Bayesian calibration ---------------------------------
   // The stage is shared read-only between concurrent tails, so the
-  // calibrator gets copies of its matrices.
+  // calibrator gets copies of its matrices. The emulator fit and the start
+  // pre-scan run on the cycle's farm (the calibrator labels their tasks);
+  // the Metropolis chain stays serial.
   const Vec observed_log = log_transform(result.observed_cumulative);
   AgentCalibrator calibrator(result.prior_design, Mat(stage.sim_outputs),
                              observed_log, config.seed,
-                             Mat(stage.replicate_cov));
+                             Mat(stage.replicate_cov),
+                             farm_config(config, "calibration"));
   result.calibration =
       calibrator.calibrate(config.posterior_configs, config.mcmc);
   result.posterior_configs = result.calibration.posterior_configs;

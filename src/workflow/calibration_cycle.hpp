@@ -65,12 +65,14 @@ struct CalibrationCycleConfig {
   FaultSpec faults;
   RetryPolicy retry;
 
-  /// Worker threads for the simulation farm (prior-design runs, the
-  /// replicate-covariance runs feeding the emulator, and the forecast
-  /// ensemble); 0 = the EPI_JOBS environment variable (default 1, the
-  /// serial seed path). Every farm task is a pure function of its
+  /// Worker threads for the farm (prior-design runs, the
+  /// replicate-covariance runs feeding the emulator, the emulator's
+  /// hyperparameter search, the calibration's start pre-scan, and the
+  /// forecast ensemble); 0 = the EPI_JOBS environment variable (default
+  /// 1, the serial seed path). Every farm task is a pure function of its
   /// config/seed, so parallel output is byte-identical to serial — the
-  /// per-task resilience ledgers are merged in task-index order.
+  /// per-task resilience ledgers are merged in task-index order. The
+  /// Metropolis chain itself is serial.
   std::size_t jobs = 0;
 
   /// Optional observability session (non-owning; nullptr = disabled, the

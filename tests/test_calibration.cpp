@@ -255,6 +255,47 @@ TEST(AgentCalibrator, PosteriorConcentratesNearTruth) {
   EXPECT_GT(result.emulator_variance_captured, 0.9);
 }
 
+exec::ExecConfig with_jobs(std::size_t jobs) {
+  exec::ExecConfig config;
+  config.jobs = jobs;
+  return config;
+}
+
+TEST(AgentCalibrator, FarmedTailIsIdenticalAtAnyJobCount) {
+  // The emulator fit and the start pre-scan run on the farm; the chain
+  // and every result field must not depend on the job count. Under the
+  // TSan lane this also exercises concurrent log_posterior and GP
+  // predict calls on one shared model.
+  Rng rng(80);
+  std::vector<ParamRange> ranges = {{"rate", 0.0, 1.0}, {"plateau", 0.0, 1.0}};
+  CalibrationDesign design = make_prior_design(ranges, 40, rng);
+  Mat outputs(design.points.size(), 60);
+  for (std::size_t i = 0; i < design.points.size(); ++i) {
+    outputs.set_row(i, synthetic_epi_curve(design.points[i], 60));
+  }
+  Vec observed = synthetic_epi_curve({0.4, 0.6}, 60);
+  for (double& x : observed) x += rng.normal(0.0, 0.02);
+  McmcConfig mcmc;
+  mcmc.samples = 300;
+  mcmc.burn_in = 300;
+  auto run = [&](std::size_t jobs) {
+    AgentCalibrator calibrator(design, outputs, observed, 321, Mat{},
+                               with_jobs(jobs));
+    return calibrator.calibrate(50, mcmc);
+  };
+  const AgentCalibrationResult serial = run(1);
+  const AgentCalibrationResult farmed = run(3);
+  EXPECT_EQ(farmed.chain.samples, serial.chain.samples);
+  EXPECT_EQ(farmed.chain.best_point, serial.chain.best_point);
+  EXPECT_EQ(farmed.chain.best_log_density, serial.chain.best_log_density);
+  EXPECT_EQ(farmed.posterior_configs, serial.posterior_configs);
+  EXPECT_EQ(farmed.band_mean, serial.band_mean);
+  EXPECT_EQ(farmed.band_lo, serial.band_lo);
+  EXPECT_EQ(farmed.band_hi, serial.band_hi);
+  EXPECT_EQ(farmed.coverage95, serial.coverage95);
+  EXPECT_EQ(farmed.acceptance_rate, serial.acceptance_rate);
+}
+
 TEST(AgentCalibrator, PriorDesignHasRequestedShape) {
   Rng rng(79);
   const CalibrationDesign design =

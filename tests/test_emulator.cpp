@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "emulator/gp.hpp"
 #include "emulator/gpmsa.hpp"
@@ -9,6 +10,278 @@
 
 namespace epi {
 namespace {
+
+// ------------------------------------------------- reference kernels ----
+//
+// The textbook row-oriented loops the production kernels are reordered
+// from. The contract (linalg.hpp) is bitwise equality with these, so the
+// oracle tests below compare with EXPECT_EQ, never a tolerance.
+
+Mat reference_cholesky(const Mat& k) {
+  const std::size_t n = k.rows();
+  Mat l(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      double sum = k.at(i, j);
+      for (std::size_t m = 0; m < j; ++m) sum -= l.at(i, m) * l.at(j, m);
+      if (i == j) {
+        if (sum <= 0.0) {
+          throw NumericError("cholesky: matrix not positive definite at pivot " +
+                             std::to_string(i));
+        }
+        l.at(i, i) = std::sqrt(sum);
+      } else {
+        l.at(i, j) = sum / l.at(j, j);
+      }
+    }
+  }
+  return l;
+}
+
+Vec reference_solve_lower(const Mat& l, const Vec& b) {
+  const std::size_t n = b.size();
+  Vec y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double sum = b[i];
+    for (std::size_t j = 0; j < i; ++j) sum -= l.at(i, j) * y[j];
+    y[i] = sum / l.at(i, i);
+  }
+  return y;
+}
+
+Vec reference_solve_lower_transpose(const Mat& l, const Vec& y) {
+  const std::size_t n = y.size();
+  Vec x(n);
+  for (std::size_t ii = n; ii > 0; --ii) {
+    const std::size_t i = ii - 1;
+    double sum = y[i];
+    for (std::size_t j = i + 1; j < n; ++j) sum -= l.at(j, i) * x[j];
+    x[i] = sum / l.at(i, i);
+  }
+  return x;
+}
+
+/// The allocating GP of the textbook form: full symmetric covariance,
+/// per-entry gp_correlation on copied rows, reference factor and solves.
+struct ReferenceGp {
+  ReferenceGp(const Mat& inputs, const Vec& outputs, const GpHyperparams& p)
+      : inputs(inputs), params(p) {
+    const std::size_t n = inputs.rows();
+    Mat k(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Vec xi = inputs.row(i);
+      for (std::size_t j = 0; j <= i; ++j) {
+        const double c = gp_correlation(xi, inputs.row(j), p.rho) / p.lambda_w;
+        k.at(i, j) = c;
+        k.at(j, i) = c;
+      }
+      k.at(i, i) += 1.0 / p.lambda_nugget + 1e-10;
+    }
+    chol = reference_cholesky(k);
+    alpha = reference_solve_lower_transpose(chol,
+                                            reference_solve_lower(chol, outputs));
+    log_marginal = -0.5 * dot(outputs, alpha) -
+                   0.5 * log_det_from_cholesky(chol) -
+                   0.5 * static_cast<double>(n) *
+                       std::log(2.0 * 3.14159265358979323846);
+  }
+
+  GaussianProcess::Prediction predict(const Vec& x) const {
+    Vec k_star(inputs.rows());
+    for (std::size_t i = 0; i < inputs.rows(); ++i) {
+      k_star[i] = gp_correlation(x, inputs.row(i), params.rho) / params.lambda_w;
+    }
+    GaussianProcess::Prediction p;
+    p.mean = dot(k_star, alpha);
+    const Vec v = reference_solve_lower(chol, k_star);
+    const double prior_var = 1.0 / params.lambda_w + 1.0 / params.lambda_nugget;
+    p.variance = std::max(1e-12, prior_var - dot(v, v));
+    return p;
+  }
+
+  Mat inputs;
+  GpHyperparams params;
+  Mat chol;
+  Vec alpha;
+  double log_marginal = 0.0;
+};
+
+/// A seeded SPD matrix: squared-exponential Gram matrix of random points
+/// plus a random positive diagonal, with entries spread over magnitudes so
+/// rounding differences could not hide.
+Mat random_spd(std::size_t n, Rng& rng) {
+  Mat points(n, 3);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t d = 0; d < 3; ++d) points.at(i, d) = rng.uniform();
+  }
+  Mat k(n, n);
+  const double scale = std::exp(rng.uniform(-3.0, 3.0));
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      double d2 = 0.0;
+      for (std::size_t d = 0; d < 3; ++d) {
+        const double diff = points.at(i, d) - points.at(j, d);
+        d2 += diff * diff;
+      }
+      k.at(i, j) = k.at(j, i) = scale * std::exp(-4.0 * d2);
+    }
+    k.at(i, i) += scale * rng.uniform(1e-3, 1.0);
+  }
+  return k;
+}
+
+Vec random_vec(std::size_t n, Rng& rng) {
+  Vec v(n);
+  for (double& x : v) x = rng.normal(0.0, 3.0);
+  return v;
+}
+
+void expect_bitwise_equal(const Mat& got, const Mat& want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  for (std::size_t i = 0; i < got.data().size(); ++i) {
+    ASSERT_EQ(got.data()[i], want.data()[i]) << "entry " << i;
+  }
+}
+
+void expect_bitwise_equal(const Vec& got, const Vec& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << "entry " << i;
+  }
+}
+
+TEST(LinalgOracle, CholeskyAndSolvesAreBitwiseTheReference) {
+  // Every size from 1 to 130, so sizes that are and are not multiples of
+  // the factorization's row-block width are all covered.
+  Rng rng(2021);
+  for (std::size_t n = 1; n <= 130; ++n) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    const Mat k = random_spd(n, rng);
+    const Mat want = reference_cholesky(k);
+    const Mat l = cholesky(k);
+    expect_bitwise_equal(l, want);
+
+    // The in-place kernel on the transposed layout: K's upper triangle in,
+    // U = Lᵀ out, the strict lower triangle left alone.
+    Mat u = k;
+    cholesky_upper_in_place(u);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        ASSERT_EQ(u.at(j, i), i >= j ? want.at(i, j) : k.at(j, i));
+      }
+    }
+
+    const Vec b = random_vec(n, rng);
+    const Vec y = reference_solve_lower(want, b);
+    expect_bitwise_equal(solve_lower(l, b), y);
+    Vec y_in_place = b;
+    forward_substitute_upper(u, y_in_place);
+    expect_bitwise_equal(y_in_place, y);
+    const Vec x = reference_solve_lower_transpose(want, y);
+    expect_bitwise_equal(solve_lower_transpose(l, y), x);
+    Vec x_in_place = y;
+    back_substitute_upper(u, x_in_place);
+    expect_bitwise_equal(x_in_place, x);
+    expect_bitwise_equal(cholesky_solve(l, b), x);
+  }
+}
+
+TEST(LinalgOracle, NonPdNamesTheReferencePivot) {
+  Rng rng(2022);
+  for (std::size_t n : {1u, 2u, 5u, 9u, 64u, 101u}) {
+    for (std::size_t pivot : {std::size_t{0}, n / 2, n - 1}) {
+      Mat k = random_spd(n, rng);
+      k.at(pivot, pivot) = -k.at(pivot, pivot);
+      std::string want;
+      try {
+        reference_cholesky(k);
+      } catch (const NumericError& e) {
+        want = e.what();
+      }
+      ASSERT_EQ(want, "cholesky: matrix not positive definite at pivot " +
+                          std::to_string(pivot));
+      try {
+        cholesky(k);
+        FAIL() << "n = " << n << ": non-PD input was factorized";
+      } catch (const NumericError& e) {
+        EXPECT_EQ(std::string(e.what()), want);
+      }
+    }
+  }
+}
+
+TEST(GpOracle, FitAndPredictAreBitwiseTheReference) {
+  Rng rng(2023);
+  for (std::size_t n : {1u, 3u, 4u, 17u, 60u, 101u}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    Mat x(n, 4);
+    Vec y(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t d = 0; d < 4; ++d) x.at(i, d) = rng.uniform();
+      y[i] = rng.normal(0.0, 1.0);
+    }
+    GpHyperparams params;
+    params.rho = {rng.uniform(0.05, 0.98), rng.uniform(0.05, 0.98),
+                  rng.uniform(0.05, 0.98), rng.uniform(0.05, 0.98)};
+    params.lambda_w = std::exp(rng.uniform(-1.5, 1.5));
+    params.lambda_nugget = std::exp(rng.uniform(3.0, 9.0));
+    const ReferenceGp want(x, y, params);
+    const GaussianProcess gp(x, y, params);
+    EXPECT_EQ(gp.log_marginal_likelihood(), want.log_marginal);
+    Vec scratch;
+    for (int trial = 0; trial < 8; ++trial) {
+      const Vec at = {rng.uniform(), rng.uniform(), rng.uniform(),
+                      rng.uniform()};
+      const auto expected = want.predict(at);
+      const auto got = gp.predict(at);
+      EXPECT_EQ(got.mean, expected.mean);
+      EXPECT_EQ(got.variance, expected.variance);
+      const auto reused = gp.predict(at, scratch);
+      EXPECT_EQ(reused.mean, expected.mean);
+      EXPECT_EQ(reused.variance, expected.variance);
+    }
+  }
+}
+
+TEST(GpOracle, SplitSearchPicksTheInterleavedLoopsChoice) {
+  // The seed form of the search: draw, score and compare one trial at a
+  // time. fit_gp_hyperparams now draws every candidate first; the choice
+  // must not change.
+  Rng data_rng(2024);
+  Mat x(30, 2);
+  Vec y(30);
+  for (std::size_t i = 0; i < 30; ++i) {
+    x.at(i, 0) = data_rng.uniform();
+    x.at(i, 1) = data_rng.uniform();
+    y[i] = std::sin(5.0 * x.at(i, 0)) + 0.3 * x.at(i, 1);
+  }
+  Rng interleaved_rng(7);
+  GpHyperparams want;
+  double best_score = -1e300;
+  for (std::size_t trial = 0; trial < kGpSearchTrials; ++trial) {
+    GpHyperparams candidate;
+    candidate.rho.resize(2);
+    for (double& r : candidate.rho) r = interleaved_rng.uniform(0.05, 0.98);
+    candidate.lambda_w = std::exp(interleaved_rng.uniform(-1.5, 1.5));
+    candidate.lambda_nugget = std::exp(interleaved_rng.uniform(3.0, 9.0));
+    double score;
+    try {
+      score = ReferenceGp(x, y, candidate).log_marginal + candidate.log_prior();
+    } catch (const NumericError&) {
+      continue;
+    }
+    if (score > best_score) {
+      best_score = score;
+      want = candidate;
+    }
+  }
+  Rng rng(7);
+  const GpHyperparams got = fit_gp_hyperparams(x, y, rng);
+  EXPECT_EQ(got.rho, want.rho);
+  EXPECT_EQ(got.lambda_w, want.lambda_w);
+  EXPECT_EQ(got.lambda_nugget, want.lambda_nugget);
+}
 
 // -------------------------------------------------------------- linalg ----
 
@@ -314,6 +587,104 @@ TEST(Gpmsa, PredictiveBandCoversObserved) {
     }
   }
   EXPECT_GT(static_cast<double>(inside) / observed.size(), 0.8);
+}
+
+/// The seed log_posterior: full T x T covariance copied from D D^T,
+/// reference factor and solves, one allocation per intermediate.
+double reference_log_posterior(const MultivariateEmulator& emulator,
+                               const Vec& observed, const Mat& replicate_cov,
+                               const Vec& theta, double lambda_delta,
+                               double lambda_eps) {
+  for (double x : theta) {
+    if (x < 0.0 || x > 1.0) return -1e300;
+  }
+  if (lambda_delta <= 0.0 || lambda_eps <= 0.0) return -1e300;
+  const auto eta = emulator.predict(theta);
+  const std::size_t t = observed.size();
+  const Mat d = discrepancy_basis(t);
+  Mat cov = matmul(d, d.transposed());
+  for (std::size_t i = 0; i < t; ++i) {
+    for (std::size_t j = 0; j < t; ++j) {
+      cov.at(i, j) /= lambda_delta;
+      if (replicate_cov.rows() != 0) cov.at(i, j) += replicate_cov.at(i, j);
+    }
+    cov.at(i, i) += eta.variance[i] + 1.0 / lambda_eps + 1e-9;
+  }
+  Vec residual(t);
+  for (std::size_t i = 0; i < t; ++i) residual[i] = observed[i] - eta.mean[i];
+  double log_lik;
+  try {
+    const Mat l = reference_cholesky(cov);
+    const Vec alpha = reference_solve_lower_transpose(
+        l, reference_solve_lower(l, residual));
+    log_lik = -0.5 * dot(residual, alpha) - 0.5 * log_det_from_cholesky(l);
+  } catch (const NumericError&) {
+    return -1e300;
+  }
+  const double lp_delta =
+      (6.0 - 1.0) * std::log(lambda_delta) - 0.3 * lambda_delta;
+  const double lp_eps = (3.0 - 1.0) * std::log(lambda_eps) - 0.05 * lambda_eps;
+  return log_lik + lp_delta + lp_eps;
+}
+
+TEST(GpmsaOracle, LogPosteriorIsBitwiseTheReferenceFormula) {
+  Rng rng(2025);
+  const Mat design = toy_design(40, rng);
+  const Mat outputs = toy_outputs(design);
+  MultivariateEmulator emulator(design, outputs, 5, rng);
+  Vec observed = toy_simulator(0.2, 2500.0);
+  for (double& x : observed) x += rng.normal(0.0, 0.05);
+  // A replicate covariance with off-diagonal structure, as the cycle
+  // estimates it: a damped rank-3 outer-product sum plus a diagonal.
+  Mat replicate(60, 60);
+  for (int r = 0; r < 3; ++r) {
+    const Vec v = random_vec(60, rng);
+    for (std::size_t i = 0; i < 60; ++i) {
+      for (std::size_t j = 0; j < 60; ++j) {
+        replicate.at(i, j) += 1e-3 * v[i] * v[j] * (i == j ? 1.0 : 0.7);
+      }
+    }
+  }
+  for (const Mat& rep : {Mat{}, replicate}) {
+    SCOPED_TRACE(rep.rows() == 0 ? "no replicate covariance"
+                                 : "with replicate covariance");
+    const GpmsaCalibrationModel model(emulator, observed, rep);
+    GpmsaCalibrationModel::Workspace workspace;  // reused across calls
+    for (int trial = 0; trial < 12; ++trial) {
+      // Include out-of-support thetas and precisions.
+      const Vec theta = {rng.uniform(-0.1, 1.1), rng.uniform(-0.1, 1.1)};
+      const double lambda_delta = trial == 3 ? -1.0 : std::exp(rng.uniform(0.0, 4.0));
+      const double lambda_eps = std::exp(rng.uniform(1.0, 6.0));
+      const double want = reference_log_posterior(
+          emulator, observed, rep, theta, lambda_delta, lambda_eps);
+      EXPECT_EQ(model.log_posterior(theta, lambda_delta, lambda_eps), want);
+      EXPECT_EQ(model.log_posterior(theta, lambda_delta, lambda_eps, workspace),
+                want);
+    }
+  }
+}
+
+exec::ExecConfig with_jobs(std::size_t jobs) {
+  exec::ExecConfig config;
+  config.jobs = jobs;
+  return config;
+}
+
+TEST(GpmsaOracle, FarmedFitMatchesSerialFit) {
+  Rng data_rng(2026);
+  const Mat design = toy_design(30, data_rng);
+  const Mat outputs = toy_outputs(design);
+  Rng serial_rng(11), farmed_rng(11);
+  const MultivariateEmulator serial(design, outputs, 5, serial_rng,
+                                    with_jobs(1));
+  const MultivariateEmulator farmed(design, outputs, 5, farmed_rng,
+                                    with_jobs(3));
+  for (const Vec& theta : {Vec{0.1, 0.9}, Vec{0.5, 0.5}, Vec{0.77, 0.2}}) {
+    const auto a = serial.predict(theta);
+    const auto b = farmed.predict(theta);
+    expect_bitwise_equal(b.mean, a.mean);
+    expect_bitwise_equal(b.variance, a.variance);
+  }
 }
 
 TEST(Gpmsa, ObservedLengthMismatchThrows) {

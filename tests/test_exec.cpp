@@ -115,6 +115,32 @@ TEST(Executor, VectorOverloadPassesItemAndIndex) {
   EXPECT_EQ(plain[4], "e!");
 }
 
+TEST(Executor, BlockMapFlattensFixedBlocksInItemOrder) {
+  // 23 items in blocks of 5: four full tasks and a remainder of 3. The
+  // grouping (recorded per result) depends on the block size only.
+  auto run = [](std::size_t jobs) {
+    return exec::parallel_block_map(
+        23, 5,
+        [](std::size_t begin, std::size_t end) {
+          std::vector<std::pair<std::size_t, std::size_t>> out;
+          for (std::size_t i = begin; i < end; ++i) out.emplace_back(i, begin);
+          return out;
+        },
+        with_jobs(jobs));
+  };
+  const auto serial = run(1);
+  ASSERT_EQ(serial.size(), 23u);
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i].first, i);
+    EXPECT_EQ(serial[i].second, i - i % 5);
+  }
+  EXPECT_EQ(run(3), serial);
+  EXPECT_EQ(run(2), serial);
+  EXPECT_THROW(exec::parallel_block_map(
+                   3, 0, [](std::size_t, std::size_t) { return std::vector<int>{}; }),
+               Error);
+}
+
 // ------------------------------------------------ exception propagation ---
 
 TEST(Executor, RethrowsAtFirstFailingIndex) {

@@ -728,10 +728,10 @@ Json summarize(const TraceModel& model, const Json& metrics,
       s["start_hours"] = span.start_hours;
       s["duration_hours"] = span.duration_hours;
       s["self_hours"] = span.self_hours;
-      spans.push_back(Json(std::move(s)));
+      spans.emplace_back(std::move(s));
     }
     entry["spans"] = Json(std::move(spans));
-    phases.push_back(Json(std::move(entry)));
+    phases.emplace_back(std::move(entry));
   }
   doc["phases"] = Json(std::move(phases));
 
@@ -742,7 +742,7 @@ Json summarize(const TraceModel& model, const Json& metrics,
     entry["tid"] = static_cast<std::uint64_t>(lane.tid);
     entry["thread"] = lane.thread;
     entry["busy_hours"] = lane.busy_hours;
-    lanes.push_back(Json(std::move(entry)));
+    lanes.emplace_back(std::move(entry));
   }
   doc["lanes"] = Json(std::move(lanes));
 
@@ -754,7 +754,7 @@ Json summarize(const TraceModel& model, const Json& metrics,
     e["max_busy_hours"] = entry.max_busy_hours;
     e["mean_busy_hours"] = entry.mean_busy_hours;
     e["ratio"] = entry.ratio;
-    imbalances.push_back(Json(std::move(e)));
+    imbalances.emplace_back(std::move(e));
   }
   doc["imbalance"] = Json(std::move(imbalances));
 
@@ -782,7 +782,7 @@ Json summarize(const TraceModel& model, const Json& metrics,
     entry["category"] = span.category;
     entry["start_hours"] = span.start_hours;
     entry["duration_hours"] = span.duration_hours;
-    top.push_back(Json(std::move(entry)));
+    top.emplace_back(std::move(entry));
   }
   doc["top_spans"] = Json(std::move(top));
 
@@ -794,7 +794,7 @@ Json summarize(const TraceModel& model, const Json& metrics,
     entry["name"] = check.name;
     entry["ok"] = check.ok;
     entry["detail"] = check.detail;
-    checks.push_back(Json(std::move(entry)));
+    checks.emplace_back(std::move(entry));
   }
   doc["self_checks"] = Json(std::move(checks));
   doc["self_checks_ok"] = all_ok;
