@@ -4,7 +4,7 @@
 #   ./ci.sh            # all lanes: lint, plain, proc, service, obs, asan, tsan
 #   ./ci.sh lint       # epilint static analysis + optional clang-tidy
 #                      # (builds only the analyzer, not the libraries)
-#   ./ci.sh plain      # RelWithDebInfo build + tests + CommChecker pass
+#   ./ci.sh plain      # RelWithDebInfo -Werror build + tests + CommChecker pass
 #   ./ci.sh proc       # shared-memory backend pass (EPI_MPILITE_BACKEND=shm,
 #                      # ranks as forked processes): mpilite + event-core +
 #                      # parallel-equivalence suites (adaptive at 1/2/4/8
@@ -46,8 +46,8 @@ run_lint() {
 }
 
 run_plain() {
-  echo "== plain build =="
-  cmake -B build -S . >/dev/null
+  echo "== plain build (warnings are errors) =="
+  cmake -B build -S . -DEPISCALE_WERROR=ON >/dev/null
   cmake --build build -j "$JOBS"
   ctest --test-dir build --output-on-failure -j "$JOBS"
 

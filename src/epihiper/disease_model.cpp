@@ -86,7 +86,7 @@ Json DwellTime::to_json() const {
       o["kind"] = "discrete";
       JsonArray arr;
       for (const auto& [days, prob] : outcomes_) {
-        arr.push_back(Json(JsonArray{Json(days), Json(prob)}));
+        arr.emplace_back(JsonArray{Json(days), Json(prob)});
       }
       o["outcomes"] = Json(std::move(arr));
       break;
@@ -231,7 +231,7 @@ Json DiseaseModel::to_json() const {
     o["hospitalized"] = s.counts_as_hospitalized;
     o["ventilated"] = s.counts_as_ventilated;
     o["death"] = s.counts_as_death;
-    states.push_back(Json(std::move(o)));
+    states.emplace_back(std::move(o));
   }
   root["states"] = Json(std::move(states));
   JsonArray progressions;
@@ -242,12 +242,12 @@ Json DiseaseModel::to_json() const {
       o["to"] = states_[edge.to].name;
       JsonArray probs, dwells;
       for (int g = 0; g < kAgeGroupCount; ++g) {
-        probs.push_back(Json(edge.probability[static_cast<std::size_t>(g)]));
+        probs.emplace_back(edge.probability[static_cast<std::size_t>(g)]);
         dwells.push_back(edge.dwell[static_cast<std::size_t>(g)].to_json());
       }
       o["probability"] = Json(std::move(probs));
       o["dwell"] = Json(std::move(dwells));
-      progressions.push_back(Json(std::move(o)));
+      progressions.emplace_back(std::move(o));
     }
   }
   root["progressions"] = Json(std::move(progressions));
@@ -258,7 +258,7 @@ Json DiseaseModel::to_json() const {
     o["to"] = states_[t.to].name;
     o["source"] = states_[t.source].name;
     o["omega"] = t.omega;
-    transmissions.push_back(Json(std::move(o)));
+    transmissions.emplace_back(std::move(o));
   }
   root["transmissions"] = Json(std::move(transmissions));
   return Json(std::move(root));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "obs/metrics.hpp"
 #include "util/env.hpp"
@@ -20,7 +21,7 @@ constexpr int kTagIsolation = 7;
 
 // kAdaptive density switch: broadcast when global_infectious * kAdaptiveDenom
 // >= network nodes (i.e. >= 2% of persons infectious). Above that density
-// the push frontier approaches every edge anyway and its enumerate+sort
+// the push frontier approaches every edge anyway and its enumerate+bucket
 // overhead loses to the branch-light full rescan; below it the frontier
 // wins outright. The decision input is an allreduced count, so every rank
 // switches on the same tick.
@@ -32,6 +33,26 @@ struct IsolationRequest {
   Tick until;
 };
 static_assert(std::is_trivially_copyable_v<IsolationRequest>);
+
+// Orders one frontier bucket (hits into a single target) by in-bucket
+// offset. Buckets mostly hold one to a few hits, which an insertion sort
+// orders without a call; a rare large one falls back to std::sort.
+template <typename Hit>
+void sort_bucket_by_offset(Hit* first, Hit* last) {
+  constexpr std::ptrdiff_t kInsertionMax = 32;
+  if (last - first > kInsertionMax) {
+    std::sort(first, last, [](const Hit& x, const Hit& y) {
+      return x.offset < y.offset;
+    });
+    return;
+  }
+  for (Hit* i = first + 1; i < last; ++i) {
+    const Hit hit = *i;
+    Hit* j = i;
+    for (; j > first && (j - 1)->offset > hit.offset; --j) *j = *(j - 1);
+    *j = hit;
+  }
+}
 }  // namespace
 
 const char* exchange_mode_name(ExchangeMode mode) {
@@ -671,7 +692,6 @@ void Simulation::step_transmissions_broadcast() {
     const std::uint64_t degree = network_.in_end(p) - network_.in_begin(p);
     work += degree;
     output_.frontier_edges_per_tick.back() += degree;
-    candidate_edges_.clear();
     candidate_rho_.clear();
     candidate_slots_.clear();
     const std::size_t omega_row = node.health * state_count;
@@ -700,7 +720,6 @@ void Simulation::step_transmissions_broadcast() {
           duration_fraction * weight * sigma * slot_iota_[slot - 1] * omega;
       if (rho <= 0.0) continue;
       rate_sum += rho;
-      candidate_edges_.push_back(e);
       candidate_rho_.push_back(rho);
       candidate_slots_.push_back(slot - 1);
     }
@@ -814,61 +833,94 @@ void Simulation::step_transmissions_frontier() {
   build_record_soa(tick_records_);
 
   // Push phase: enumerate this rank's in-edges sourced at any record
-  // holder. Out-edge buckets are ascending, so a binary search finds the
-  // first locally-owned edge and the walk stops at the partition boundary.
-  std::uint64_t work = 0;
-  frontier_hits_.clear();
-  const EdgeIndex edge_end = edge_offset_ + edge_active_.size();
-  for (std::uint32_t slot = 0;
-       slot < static_cast<std::uint32_t>(slot_person_.size()); ++slot) {
-    const auto edges = network_.out_edges_of(slot_person_[slot]);
-    auto it = std::lower_bound(edges.begin(), edges.end(), edge_offset_);
-    for (; it != edges.end() && *it < edge_end; ++it) {
-      frontier_hits_.push_back(CandidateHit{*it, slot});
+  // holder. The rank owns exactly the in-edges of its node range and
+  // out-edge buckets are ascending by target, so two binary searches cut a
+  // source's bucket to its locally-owned edges.
+  const auto local_out_edges = [this](std::uint32_t slot) {
+    const auto out = network_.out_edges_of(slot_person_[slot]);
+    const auto by_target = [](const OutEdge& o, PersonId p) {
+      return o.target < p;
+    };
+    const auto first =
+        std::lower_bound(out.begin(), out.end(), local_begin_, by_target);
+    const auto last =
+        std::lower_bound(first, out.end(), local_end_, by_target);
+    return std::span<const OutEdge>(first, last);
+  };
+  const auto slots = static_cast<std::uint32_t>(slot_person_.size());
+
+  // Count the hits per target in its NodeState. The touched list lets the
+  // counts go back to zero without an O(local persons) sweep.
+  touched_targets_.clear();
+  std::uint64_t hits = 0;
+  for (std::uint32_t slot = 0; slot < slots; ++slot) {
+    const auto edges = local_out_edges(slot);
+    hits += edges.size();
+    for (const OutEdge& o : edges) {
+      const std::uint32_t li = o.target - local_begin_;
+      if (nodes_[li].frontier_hits++ == 0) touched_targets_.push_back(li);
     }
   }
-  work += frontier_hits_.size();
-  output_.frontier_edges_per_tick.back() += frontier_hits_.size();
+  const std::uint64_t groups = touched_targets_.size();
+  EPI_ASSERT(hits <= std::numeric_limits<std::uint32_t>::max(),
+             "frontier hit count overflows the bucket cursors");
+  output_.work_units += hits + groups;
+  output_.frontier_edges_per_tick.back() += hits;
   if (metrics_ != nullptr) {
-    metrics_->add("epihiper.frontier_edges", frontier_hits_.size());
+    metrics_->add("epihiper.frontier_edges", hits);
+    metrics_->add("epihiper.frontier_candidates", groups);
   }
 
-  // Sorting by edge groups hits by target (the in-CSR keeps each person's
-  // edges contiguous, buckets in ascending person order), and inside each
-  // group restores the legacy kernel's ascending-EdgeIndex candidate
-  // order — the property that keeps every RNG draw byte-identical.
-  std::sort(frontier_hits_.begin(), frontier_hits_.end(),
-            [](const CandidateHit& x, const CandidateHit& y) {
-              return x.edge < y.edge;
-            });
+  // Bucket the hits by target, buckets in ascending target order (the
+  // in-CSR's order): each count becomes its bucket's write cursor, and
+  // after a second walk scatters the hits holds the bucket's end.
+  std::sort(touched_targets_.begin(), touched_targets_.end());
+  std::uint32_t cursor = 0;
+  for (const std::uint32_t li : touched_targets_) {
+    const std::uint32_t count = nodes_[li].frontier_hits;
+    nodes_[li].frontier_hits = cursor;
+    cursor += count;
+  }
+  if (bucketed_hits_.size() < hits) {
+    // Grow to exactly the largest frontier seen, without copying the
+    // stale hits or doubling the capacity.
+    bucketed_hits_.clear();
+    bucketed_hits_.resize(hits);
+  }
+  for (std::uint32_t slot = 0; slot < slots; ++slot) {
+    for (const OutEdge& o : local_out_edges(slot)) {
+      bucketed_hits_[nodes_[o.target - local_begin_].frontier_hits++] =
+          BucketedHit{o.offset, slot};
+    }
+  }
 
   const std::size_t state_count = model_.state_count();
   const bool weights_scaled = !edge_weight_scale_.empty();
-  std::uint64_t groups = 0;
-  std::size_t i = 0;
-  while (i < frontier_hits_.size()) {
-    const PersonId p = network_.target_of(frontier_hits_[i].edge);
-    const EdgeIndex group_end = network_.in_end(p);
-    std::size_t j = i;
-    while (j < frontier_hits_.size() && frontier_hits_[j].edge < group_end) {
-      ++j;
-    }
-    ++groups;
-    const NodeState& node = nodes_[p - local_begin_];
+  std::uint32_t begin = 0;
+  for (const std::uint32_t li : touched_targets_) {
+    NodeState& node = nodes_[li];
+    const std::uint32_t end = node.frontier_hits;
+    node.frontier_hits = 0;
+    const std::uint32_t bucket_begin = begin;
+    begin = end;
     const HealthState& state = model_.state(node.health);
-    if (!state.susceptible()) {
-      i = j;
-      continue;
-    }
-    candidate_edges_.clear();
+    if (!state.susceptible()) continue;
+    // Hits arrived in slot order; ascending offset within the bucket is
+    // the legacy kernel's ascending-EdgeIndex candidate order -- the
+    // property that keeps every RNG draw byte-identical. Buckets are
+    // bounded by the target's infectious in-neighbours.
+    sort_bucket_by_offset(bucketed_hits_.data() + bucket_begin,
+                          bucketed_hits_.data() + end);
+    const PersonId p = local_begin_ + li;
+    const EdgeIndex in_begin = network_.in_begin(p);
     candidate_rho_.clear();
     candidate_slots_.clear();
     const std::size_t omega_row = node.health * state_count;
     const double sigma = state.susceptibility * node.susceptibility_scale;
     double rate_sum = 0.0;
-    for (std::size_t k = i; k < j; ++k) {
-      const EdgeIndex e = frontier_hits_[k].edge;
-      const std::uint32_t slot = frontier_hits_[k].slot;
+    for (std::uint32_t k = bucket_begin; k < end; ++k) {
+      const EdgeIndex e = in_begin + bucketed_hits_[k].offset;
+      const std::uint32_t slot = bucketed_hits_[k].slot;
       const double omega = transmission_omega_[omega_row + slot_state_[slot]];
       if (omega <= 0.0) continue;
       if (!edge_transmissible(e, p, slot_isolated_[slot] != 0,
@@ -888,18 +940,11 @@ void Simulation::step_transmissions_frontier() {
           duration_fraction * weight * sigma * slot_iota_[slot] * omega;
       if (rho <= 0.0) continue;
       rate_sum += rho;
-      candidate_edges_.push_back(e);
       candidate_rho_.push_back(rho);
       candidate_slots_.push_back(slot);
     }
     finish_candidate(p, rate_sum);
-    i = j;
   }
-  work += groups;
-  if (metrics_ != nullptr) {
-    metrics_->add("epihiper.frontier_candidates", groups);
-  }
-  output_.work_units += work;
 }
 
 void Simulation::step_progressions() {

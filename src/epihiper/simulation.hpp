@@ -314,11 +314,15 @@ class Simulation {
  private:
   struct NodeState {
     HealthStateId health;
+    HealthStateId next_state = kNoState;
     float infectivity_scale = 1.0f;
     float susceptibility_scale = 1.0f;
     Tick next_transition_tick = -1;
-    HealthStateId next_state = kNoState;
+    // Frontier-kernel scratch in what used to be padding: this tick's hits
+    // into the person, then its bucket cursor. Zero between ticks.
+    std::uint32_t frontier_hits = 0;
   };
+  static_assert(sizeof(NodeState) == 20, "frontier_hits must fit the padding");
 
   // Infectious-record exchange unit: effective infectivity of one
   // currently infectious person. Also the wire format of the ghost-delta
@@ -372,10 +376,10 @@ class Simulation {
   Rng person_rng(PersonId p) const;
   InfectiousInfo infectious_record(PersonId p) const;
   /// Gillespie draw for one susceptible target after its candidate edges
-  /// (candidate_edges_/candidate_rho_/candidate_slots_, ascending
-  /// EdgeIndex) have been collected; shared verbatim by all kernels so
-  /// their RNG consumption is identical. Sources are read from the slot_*
-  /// SoA arrays (build_record_soa must cover the current records).
+  /// (candidate_rho_/candidate_slots_, ascending EdgeIndex) have been
+  /// collected; shared verbatim by all kernels so their RNG consumption is
+  /// identical. Sources are read from the slot_* SoA arrays
+  /// (build_record_soa must cover the current records).
   void finish_candidate(PersonId p, double rate_sum);
 
   const ContactNetwork& network_;
@@ -452,12 +456,17 @@ class Simulation {
   std::vector<InfectiousInfo> current_advert_;
   std::vector<std::vector<InfectiousInfo>> delta_outbox_;
   std::vector<PersonId> sorted_infectious_scratch_;
-  struct CandidateHit {
-    EdgeIndex edge;
-    std::uint32_t slot;  // index into tick_records_
+  // Frontier-kernel hits grouped by target: an in-edge of the target,
+  // named by its offset in the target's in-CSR bucket, sourced at record
+  // slot `slot` (an index into tick_records_).
+  struct BucketedHit {
+    std::uint32_t offset;
+    std::uint32_t slot;
   };
-  std::vector<CandidateHit> frontier_hits_;
-  std::vector<EdgeIndex> candidate_edges_;
+  std::vector<BucketedHit> bucketed_hits_;
+  // Local indices (p - local_begin_) of the persons with a non-zero
+  // NodeState::frontier_hits this tick.
+  std::vector<std::uint32_t> touched_targets_;
   std::vector<double> candidate_rho_;
   std::vector<std::uint32_t> candidate_slots_;
 

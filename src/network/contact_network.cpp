@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -31,9 +32,10 @@ ActivityType activity_from_name(const std::string& name) {
 }
 
 void ContactNetwork::build_out_edges() {
-  // Counting sort of edge indices by source; visiting e in ascending order
-  // leaves every bucket ascending, which the frontier kernel relies on to
-  // reproduce the in-CSR scan's edge order exactly.
+  // Counting sort of edges by source; visiting targets, and each target's
+  // in-bucket, in ascending order visits e ascending, which leaves every
+  // bucket ascending -- the frontier kernel relies on it to reproduce the
+  // in-CSR scan's edge order exactly.
   out_offsets_.assign(static_cast<std::size_t>(node_count_) + 1, 0);
   for (const Contact& c : contacts_) {
     ++out_offsets_[static_cast<std::size_t>(c.source) + 1];
@@ -43,16 +45,14 @@ void ContactNetwork::build_out_edges() {
   }
   out_edges_.resize(contacts_.size());
   std::vector<EdgeIndex> cursor(out_offsets_.begin(), out_offsets_.end() - 1);
-  for (EdgeIndex e = 0; e < contacts_.size(); ++e) {
-    out_edges_[cursor[contacts_[e].source]++] = e;
+  for (PersonId v = 0; v < node_count_; ++v) {
+    EPI_REQUIRE(in_degree(v) <= std::numeric_limits<std::uint32_t>::max(),
+                "in-degree of node " << v << " overflows the transpose");
+    for (EdgeIndex e = in_begin(v); e < in_end(v); ++e) {
+      out_edges_[cursor[contacts_[e].source]++] =
+          OutEdge{v, static_cast<std::uint32_t>(e - in_begin(v))};
+    }
   }
-}
-
-PersonId ContactNetwork::target_of(EdgeIndex e) const {
-  EPI_REQUIRE(e < edge_count(), "edge index out of range");
-  // Binary search the CSR offsets for the bucket containing e.
-  const auto it = std::upper_bound(offsets_.begin(), offsets_.end(), e);
-  return static_cast<PersonId>(it - offsets_.begin() - 1);
 }
 
 double ContactNetwork::contact_minutes(PersonId v) const {
@@ -173,6 +173,21 @@ ContactNetwork ContactNetwork::read_binary(const std::string& path) {
   in.read(reinterpret_cast<char*>(net.contacts_.data()),
           static_cast<std::streamsize>(net.contacts_.size() * sizeof(Contact)));
   EPI_REQUIRE(in.good(), "truncated network binary: " << path);
+  // The transpose build trusts the CSR: offsets must tile the edge array
+  // and every source must be a node.
+  EPI_REQUIRE(net.offsets_.front() == 0 && net.offsets_.back() == edges,
+              "network binary offsets do not span its " << edges
+                                                        << " edges: " << path);
+  for (std::size_t v = 0; v < nodes; ++v) {
+    EPI_REQUIRE(net.offsets_[v] <= net.offsets_[v + 1],
+                "network binary offsets decrease at node " << v << ": "
+                                                           << path);
+  }
+  for (const Contact& c : net.contacts_) {
+    EPI_REQUIRE(c.source < nodes,
+                "network binary source out of range: " << c.source << ": "
+                                                       << path);
+  }
   net.build_out_edges();
   return net;
 }

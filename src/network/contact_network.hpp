@@ -56,6 +56,16 @@ struct Contact {
 };
 static_assert(sizeof(Contact) == 16, "Contact must stay 16 bytes");
 
+/// One out-edge transpose entry: the edge sourced at some person u that
+/// points at `target`, stored as its position inside target's in-CSR
+/// bucket, so the edge index is in_begin(target) + offset. 8 bytes, the
+/// size of a bare EdgeIndex, but the target comes for free.
+struct OutEdge {
+  PersonId target = 0;
+  std::uint32_t offset = 0;  // rank of the edge inside target's in-bucket
+};
+static_assert(sizeof(OutEdge) == 8, "OutEdge must stay 8 bytes");
+
 /// Immutable contact network in incoming-edge CSR form.
 class ContactNetwork {
  public:
@@ -74,24 +84,27 @@ class ContactNetwork {
 
   const Contact& contact(EdgeIndex e) const { return contacts_[e]; }
 
-  /// The node that edge e points at (owner of the CSR bucket).
-  PersonId target_of(EdgeIndex e) const;
-
   // --- Out-edge transpose -----------------------------------------------
   // The CSR above is over *incoming* edges (grouped by target, the
   // partitioning invariant). The transpose answers the push direction the
   // frontier transmission kernel needs: "which edges does person u appear
-  // on as Contact::source?". Built once at finalize/load; the entries of
-  // each bucket are ascending EdgeIndex values into contact(), so walking
-  // a bucket enumerates a source's out-edges in global edge order.
+  // on as Contact::source, and whom do they point at?". Built once at
+  // finalize/load. Each bucket is in ascending edge order, which is the
+  // same as ascending (target, offset): walking a bucket enumerates a
+  // source's out-edges in global edge order, and a lower_bound on target
+  // finds the first edge into any node range.
 
   std::uint64_t out_degree(PersonId u) const {
     return out_offsets_[u + 1] - out_offsets_[u];
   }
-  /// Ascending edge indices on which u is the source.
-  std::span<const EdgeIndex> out_edges_of(PersonId u) const {
-    return std::span<const EdgeIndex>(out_edges_.data() + out_offsets_[u],
-                                      out_offsets_[u + 1] - out_offsets_[u]);
+  /// u's out-edges, ascending by (target, offset) = ascending edge index.
+  std::span<const OutEdge> out_edges_of(PersonId u) const {
+    return std::span<const OutEdge>(out_edges_.data() + out_offsets_[u],
+                                    out_offsets_[u + 1] - out_offsets_[u]);
+  }
+  /// The edge index a transpose entry names.
+  EdgeIndex edge_of(const OutEdge& out) const {
+    return offsets_[out.target] + out.offset;
   }
 
   /// Total duration-weighted contact minutes incident to v (incoming).
@@ -121,9 +134,9 @@ class ContactNetwork {
   std::vector<EdgeIndex> offsets_;  // node_count_ + 1 entries
   std::vector<Contact> contacts_;  // grouped by target node
   // Transpose: out_edges_[out_offsets_[u] .. out_offsets_[u+1]) are the
-  // ascending indices of the edges sourced at u.
+  // edges sourced at u, in ascending edge order.
   std::vector<EdgeIndex> out_offsets_;  // node_count_ + 1 entries
-  std::vector<EdgeIndex> out_edges_;    // edge_count() entries
+  std::vector<OutEdge> out_edges_;      // edge_count() entries
 };
 
 /// Accumulates undirected contacts, then finalizes into CSR form.

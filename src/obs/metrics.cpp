@@ -273,7 +273,7 @@ Json MetricsRegistry::snapshot() const {
                          ? Json(histogram.bounds[i])
                          : Json(std::string("+Inf"));
       bucket["count"] = histogram.counts[i];
-      buckets.push_back(Json(std::move(bucket)));
+      buckets.emplace_back(std::move(bucket));
     }
     // Quantile estimate: upper bound of the bucket holding the quantile
     // rank, clamped to the observed max (keeps the +Inf bucket finite and

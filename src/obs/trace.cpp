@@ -137,7 +137,7 @@ Json TraceRecorder::to_json() const {
     if (!event.flow_id.empty()) out["id"] = event.flow_id;
     if (event.ph == 'f') out["bp"] = "e";  // bind to enclosing slice
     if (!event.args.empty()) out["args"] = event.args;
-    trace_events.push_back(Json(std::move(out)));
+    trace_events.emplace_back(std::move(out));
   };
 
   for (const Event& meta : metadata_) render(meta);

@@ -22,7 +22,7 @@ Json CellConfig::to_json() const {
     seed_obj["county"] = static_cast<std::int64_t>(s.county);
     seed_obj["count"] = static_cast<std::int64_t>(s.count);
     seed_obj["tick"] = static_cast<std::int64_t>(s.tick);
-    seeds_json.push_back(Json(std::move(seed_obj)));
+    seeds_json.emplace_back(std::move(seed_obj));
   }
   o["seeds"] = Json(std::move(seeds_json));
   return Json(std::move(o));

@@ -1,6 +1,7 @@
 // Event-driven transmission core: event-queue ordering determinism, serial
 // and parallel byte-identity of the adaptive mode against the broadcast
-// reference (with and without interventions), quiescence tick-skipping,
+// reference (with and without interventions), frontier-kernel oracles on
+// seed-dense inputs over both mpilite transports, quiescence tick-skipping,
 // the adaptive broadcast/ghost switch, and EPI_EXCHANGE wiring.
 #include "epihiper/event_queue.hpp"
 
@@ -12,6 +13,7 @@
 #include <tuple>
 #include <vector>
 
+#include "backend_guard.hpp"
 #include "epihiper/interventions.hpp"
 #include "epihiper/parallel.hpp"
 #include "epihiper/simulation.hpp"
@@ -469,6 +471,198 @@ TEST_P(GhostHaloInterventionEquivalence, MatchesSerialBroadcast) {
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, GhostHaloInterventionEquivalence,
                          ::testing::Values(1, 2, 4, 8));
+
+// --- Frontier-kernel oracles ---------------------------------------------
+//
+// The frontier kernel buckets its (edge, slot) hits by target and orders
+// each bucket by edge; these inputs make the buckets non-trivial (many
+// susceptible targets with three or more infectious in-neighbours, i.e.
+// hits from different record slots) and route every transmission filter
+// through it: scaled edge weights, isolation and context closures.
+
+// Replays a run's transition log and counts, summed over ticks, the
+// susceptible persons holding at least three distinct infectious
+// in-neighbours at the start of the tick: a lower bound on the frontier
+// buckets holding hits from three or more record slots.
+std::uint64_t multi_source_targets(const SimOutput& out,
+                                   const DiseaseModel& model, Tick ticks) {
+  const ContactNetwork& net = test_region().network;
+  std::vector<HealthStateId> state(net.node_count(), model.initial_state());
+  std::size_t next = 0;
+  std::uint64_t total = 0;
+  std::vector<PersonId> sources;
+  for (Tick t = 0; t < ticks; ++t) {
+    while (next < out.transitions.size() && out.transitions[next].tick < t) {
+      state[out.transitions[next].person] = out.transitions[next].exit_state;
+      ++next;
+    }
+    for (PersonId v = 0; v < net.node_count(); ++v) {
+      if (!model.state(state[v]).susceptible()) continue;
+      sources.clear();
+      for (EdgeIndex e = net.in_begin(v); e < net.in_end(v); ++e) {
+        const PersonId u = net.contact(e).source;
+        if (model.state(state[u]).infectious()) sources.push_back(u);
+      }
+      std::sort(sources.begin(), sources.end());
+      sources.erase(std::unique(sources.begin(), sources.end()),
+                    sources.end());
+      if (sources.size() >= 3) ++total;
+    }
+  }
+  return total;
+}
+
+// Seed-dense input: 40 exposures at tick 0 and 20 more at ticks 12 and 24
+// on a model hot enough to cluster infections, yet concurrent infectious
+// stays under the adaptive density switch, so every executed tick runs the
+// frontier kernel.
+DiseaseModel cluster_model() {
+  CovidParams params;
+  params.transmissibility = 0.06;
+  return covid_model(params);
+}
+
+constexpr Tick kOracleTicks = 40;
+
+SimulationConfig dense_seed_config(ExchangeMode mode) {
+  SimulationConfig config = base_config(kOracleTicks);
+  config.seeds = {SeedSpec{0, 40, 0}, SeedSpec{0, 20, 12}, SeedSpec{0, 20, 24}};
+  config.exchange = mode;
+  return config;
+}
+
+// Scales the weight of every local in-edge whose target is at work (down)
+// or shopping (up) at `tick`, so the frontier reads edge_weight_scale_.
+class ScaleContextWeights : public Intervention {
+ public:
+  explicit ScaleContextWeights(Tick tick) : tick_(tick) {}
+  std::string name() const override { return "scale-weights"; }
+  void apply(Simulation& sim) override {
+    if (sim.tick() != tick_) return;
+    for (PersonId p = sim.local_begin(); p < sim.local_end(); ++p) {
+      const auto [begin, end] = sim.in_edges(p);
+      for (EdgeIndex e = begin; e < end; ++e) {
+        const auto context =
+            static_cast<ActivityType>(sim.network().contact(e).target_activity);
+        if (context == ActivityType::kWork) sim.scale_edge_weight(e, 0.6);
+        if (context == ActivityType::kShopping) sim.scale_edge_weight(e, 1.7);
+      }
+    }
+  }
+
+ private:
+  Tick tick_;
+};
+
+// Weight scaling from tick 2, voluntary isolation of symptomatic persons,
+// and a school closure over ticks 6-20.
+InterventionFactory filter_interventions() {
+  return [] {
+    return std::vector<std::shared_ptr<Intervention>>{
+        std::make_shared<ScaleContextWeights>(2),
+        std::make_shared<VoluntaryHomeIsolation>(
+            VoluntaryHomeIsolation::Config{0.6, 10, 0}),
+        std::make_shared<SchoolClosure>(SchoolClosure::Config{6, 20})};
+  };
+}
+
+SimOutput run_oracle(ExchangeMode mode,
+                     const InterventionFactory& factory = nullptr) {
+  return run_simulation(test_region().network, test_region().population,
+                        cluster_model(), dense_seed_config(mode), factory);
+}
+
+SimOutput run_oracle_parallel(ExchangeMode mode, int ranks,
+                              const InterventionFactory& factory) {
+  const Partitioning parts =
+      partition_network(test_region().network, static_cast<std::size_t>(ranks));
+  return run_simulation_parallel(test_region().network,
+                                 test_region().population, cluster_model(),
+                                 dense_seed_config(mode), parts, ranks,
+                                 factory);
+}
+
+std::uint64_t total_frontier_edges(const SimOutput& out) {
+  std::uint64_t total = 0;
+  for (const auto v : out.frontier_edges_per_tick) total += v;
+  return total;
+}
+
+TEST(FrontierOracle, DenseSeedsMatchBroadcastByteForByte) {
+  const SimOutput adaptive = run_oracle(ExchangeMode::kAdaptive);
+  const SimOutput bcast = run_oracle(ExchangeMode::kBroadcast);
+  expect_same_epidemic(adaptive, bcast);
+  EXPECT_EQ(adaptive.ghost_ticks, adaptive.ticks_executed);
+  EXPECT_GE(multi_source_targets(adaptive, cluster_model(), kOracleTicks),
+            200u);
+}
+
+TEST(FrontierOracle, ScaledWeightsIsolationAndClosuresMatchBroadcast) {
+  const SimOutput adaptive =
+      run_oracle(ExchangeMode::kAdaptive, filter_interventions());
+  const SimOutput bcast =
+      run_oracle(ExchangeMode::kBroadcast, filter_interventions());
+  expect_same_epidemic(adaptive, bcast);
+  EXPECT_EQ(adaptive.ghost_ticks, adaptive.ticks_executed);
+  EXPECT_GE(multi_source_targets(adaptive, cluster_model(), kOracleTicks),
+            50u);
+}
+
+// The frontier kernel's work counters feed zero-tolerance bench baselines
+// (comm_volume.*.work_units and .edges_evaluated), so their counting rule
+// is pinned: hits count every pushed (edge, slot) pair and groups every
+// distinct touched target, susceptible or not.
+constexpr std::uint64_t kPlainWorkUnits = 25044;
+constexpr std::uint64_t kFilteredWorkUnits = 13886;
+constexpr std::uint64_t kFilteredFrontierEdges = 7127;
+
+TEST(FrontierOracle, WorkCountersPinned) {
+  const SimOutput plain = run_oracle(ExchangeMode::kAdaptive);
+  EXPECT_EQ(plain.work_units, kPlainWorkUnits);
+  const std::vector<std::uint64_t> expected_edges = {
+      0,   0,   0,   0,   0,   236, 322, 343, 317, 242, 259, 223, 240, 208,
+      207, 223, 264, 479, 461, 463, 409, 343, 312, 349, 378, 347, 455, 473,
+      353, 560, 576, 573, 494, 496, 455, 423, 477, 520, 488, 487};
+  EXPECT_EQ(plain.frontier_edges_per_tick, expected_edges);
+  const SimOutput filtered =
+      run_oracle(ExchangeMode::kAdaptive, filter_interventions());
+  EXPECT_EQ(filtered.work_units, kFilteredWorkUnits);
+  EXPECT_EQ(total_frontier_edges(filtered), kFilteredFrontierEdges);
+}
+
+// Rank sweep on both transports with every filter in play. The parallel
+// adaptive run must define the serial broadcast epidemic, match the
+// parallel broadcast run's merged output exactly on the same partitioning,
+// and keep the pinned work counters: each target's hits land on exactly
+// one rank. (The merge orders transitions by (tick, person), so the
+// in-tick sequence is pinned by the serial tests above.)
+class FrontierOracleParallel
+    : public ::testing::TestWithParam<std::tuple<int, const char*>> {};
+
+TEST_P(FrontierOracleParallel, MatchesBroadcastOnEveryBackend) {
+  const auto [ranks, backend] = GetParam();
+  static const SimOutput serial =
+      run_oracle(ExchangeMode::kBroadcast, filter_interventions());
+  const BackendGuard guard(backend);
+  const SimOutput adaptive = run_oracle_parallel(ExchangeMode::kAdaptive,
+                                                 ranks, filter_interventions());
+  const SimOutput bcast = run_oracle_parallel(ExchangeMode::kBroadcast, ranks,
+                                              filter_interventions());
+  expect_same_epidemic_unordered(adaptive, serial);
+  expect_same_epidemic(adaptive, bcast);
+  EXPECT_EQ(adaptive.ghost_ticks, adaptive.ticks_executed);
+  EXPECT_EQ(adaptive.work_units, kFilteredWorkUnits);
+  EXPECT_EQ(total_frontier_edges(adaptive), kFilteredFrontierEdges);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RanksAndBackends, FrontierOracleParallel,
+    ::testing::Combine(::testing::Values(1, 2, 3, 4),
+                       ::testing::Values("thread", "shm")),
+    [](const auto& info) {
+      return std::get<1>(info.param) + std::string("_") +
+             std::to_string(std::get<0>(info.param)) + "ranks";
+    });
 
 // --- EPI_EXCHANGE wiring --------------------------------------------------
 

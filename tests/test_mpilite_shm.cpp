@@ -28,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "backend_guard.hpp"
 #include "epitrace/epitrace.hpp"
 #include "mpilite/comm.hpp"
 #include "obs/metrics.hpp"
@@ -40,33 +41,6 @@ namespace {
 void require(bool condition, const std::string& what) {
   if (!condition) throw Error("rank assertion failed: " + what);
 }
-
-/// Pins EPI_MPILITE_BACKEND to `value` for one scope (nullptr = unset),
-/// restoring the previous state on destruction.
-class BackendGuard {
- public:
-  explicit BackendGuard(const char* value) {
-    const char* current = std::getenv("EPI_MPILITE_BACKEND");
-    if (current != nullptr) saved_ = current;
-    had_value_ = current != nullptr;
-    if (value != nullptr) {
-      setenv("EPI_MPILITE_BACKEND", value, 1);
-    } else {
-      unsetenv("EPI_MPILITE_BACKEND");
-    }
-  }
-  ~BackendGuard() {
-    if (had_value_) {
-      setenv("EPI_MPILITE_BACKEND", saved_.c_str(), 1);
-    } else {
-      unsetenv("EPI_MPILITE_BACKEND");
-    }
-  }
-
- private:
-  std::string saved_;
-  bool had_value_ = false;
-};
 
 void expect_bytes_equal(const std::vector<double>& a,
                         const std::vector<double>& b, const char* label) {

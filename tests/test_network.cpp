@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 
@@ -78,11 +80,20 @@ TEST(ContactNetwork, CsrDegreesConsistent) {
   EXPECT_EQ(total, net.edge_count());
 }
 
+// The transpose names every in-CSR edge by (target, offset): looking an
+// edge up in its source's out-bucket recovers the bucket it lives in.
 TEST(ContactNetwork, TargetOfInvertsCsr) {
   const ContactNetwork net = make_line_network(8);
   for (PersonId v = 0; v < net.node_count(); ++v) {
     for (EdgeIndex e = net.in_begin(v); e < net.in_end(v); ++e) {
-      EXPECT_EQ(net.target_of(e), v);
+      const auto out = net.out_edges_of(net.contact(e).source);
+      const auto it = std::find_if(out.begin(), out.end(),
+                                   [&](const OutEdge& o) {
+                                     return net.edge_of(o) == e;
+                                   });
+      ASSERT_NE(it, out.end()) << "edge " << e;
+      EXPECT_EQ(it->target, v);
+      EXPECT_EQ(it->offset, e - net.in_begin(v));
     }
   }
 }
@@ -127,6 +138,40 @@ TEST(ContactNetwork, BinaryRejectsGarbage) {
   }
   EXPECT_THROW(ContactNetwork::read_binary(path), Error);
   std::filesystem::remove(path);
+}
+
+// A binary whose CSR does not tile its edges, or names a source outside
+// the node range, is rejected before the transpose is built from it.
+TEST(ContactNetwork, BinaryRejectsInconsistentCsr) {
+  const ContactNetwork net = make_line_network(6);
+  const std::string good = "/tmp/episcale_test_csr_good.bin";
+  const std::string bad = "/tmp/episcale_test_csr_bad.bin";
+  net.write_binary(good);
+  std::string bytes;
+  {
+    std::ifstream in(good, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  const std::size_t header = 3 * sizeof(std::uint64_t);
+  const std::size_t contacts =
+      header + (net.node_count() + 1) * sizeof(EdgeIndex);
+  const auto corrupt = [&](std::size_t at, std::uint64_t value,
+                           std::size_t width) {
+    std::string copy = bytes;
+    std::memcpy(copy.data() + at, &value, width);
+    std::ofstream out(bad, std::ios::binary);
+    out << copy;
+  };
+  corrupt(header + 2 * sizeof(EdgeIndex), 0, sizeof(EdgeIndex));  // decreases
+  EXPECT_THROW(ContactNetwork::read_binary(bad), Error);
+  corrupt(header + net.node_count() * sizeof(EdgeIndex), 3,
+          sizeof(EdgeIndex));  // last offset short of the edge count
+  EXPECT_THROW(ContactNetwork::read_binary(bad), Error);
+  corrupt(contacts, 99, sizeof(PersonId));  // first contact's source
+  EXPECT_THROW(ContactNetwork::read_binary(bad), Error);
+  std::filesystem::remove(good);
+  std::filesystem::remove(bad);
 }
 
 TEST(NetworkStats, CountsContextsAndDegrees) {
@@ -349,42 +394,119 @@ INSTANTIATE_TEST_SUITE_P(Counts, PartitionSweep,
 
 // --- Out-edge transpose (the frontier kernel's push index) ---------------
 
-TEST(ContactNetwork, OutEdgeTransposeConsistent) {
-  const ContactNetwork net = make_line_network(17);
+// The transpose invariants the frontier kernel relies on: every edge
+// appears exactly once, in its source's bucket; each entry recovers an
+// edge sourced at the bucket's owner that lives in the named target's
+// in-bucket; and each bucket is strictly ascending by edge index, which
+// is the same as ascending (target, offset).
+void expect_transpose_valid(const ContactNetwork& net) {
+  std::vector<int> seen(net.edge_count(), 0);
   std::uint64_t total = 0;
   for (PersonId u = 0; u < net.node_count(); ++u) {
-    const auto edges = net.out_edges_of(u);
-    EXPECT_EQ(edges.size(), net.out_degree(u));
-    total += edges.size();
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      // Every listed edge really is sourced at u...
-      EXPECT_EQ(net.contact(edges[i]).source, u);
-      // ...and buckets are ascending (the frontier sort relies on it).
+    const auto out = net.out_edges_of(u);
+    ASSERT_EQ(out.size(), net.out_degree(u));
+    total += out.size();
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      ASSERT_LT(out[i].target, net.node_count());
+      ASSERT_LT(out[i].offset, net.in_degree(out[i].target));
+      const EdgeIndex e = net.edge_of(out[i]);
+      EXPECT_EQ(net.contact(e).source, u) << "edge " << e;
+      EXPECT_GE(e, net.in_begin(out[i].target));
+      EXPECT_LT(e, net.in_end(out[i].target));
+      ++seen[e];
       if (i > 0) {
-        EXPECT_LT(edges[i - 1], edges[i]);
+        EXPECT_LT(net.edge_of(out[i - 1]), e) << "bucket of " << u;
+        EXPECT_TRUE(out[i - 1].target < out[i].target ||
+                    (out[i - 1].target == out[i].target &&
+                     out[i - 1].offset < out[i].offset))
+            << "bucket of " << u;
       }
     }
   }
   EXPECT_EQ(total, net.edge_count());
-  // Inverse direction: every edge appears in its source's bucket.
   for (EdgeIndex e = 0; e < net.edge_count(); ++e) {
-    const auto edges = net.out_edges_of(net.contact(e).source);
-    EXPECT_TRUE(std::binary_search(edges.begin(), edges.end(), e));
+    EXPECT_EQ(seen[e], 1) << "edge " << e;
   }
 }
 
-TEST(ContactNetwork, OutEdgeTransposeSurvivesBinaryRoundTrip) {
-  const ContactNetwork net = make_line_network(12);
-  const std::string path = "/tmp/episcale_test_outcsr.bin";
-  net.write_binary(path);
-  const ContactNetwork loaded = ContactNetwork::read_binary(path);
-  for (PersonId u = 0; u < net.node_count(); ++u) {
-    const auto a = net.out_edges_of(u);
-    const auto b = loaded.out_edges_of(u);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
+void expect_same_transpose(const ContactNetwork& a, const ContactNetwork& b) {
+  ASSERT_EQ(a.node_count(), b.node_count());
+  for (PersonId u = 0; u < a.node_count(); ++u) {
+    const auto x = a.out_edges_of(u);
+    const auto y = b.out_edges_of(u);
+    ASSERT_EQ(x.size(), y.size());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      EXPECT_EQ(x[i].target, y[i].target);
+      EXPECT_EQ(x[i].offset, y[i].offset);
+    }
   }
-  std::filesystem::remove(path);
+}
+
+// A clustered builder network with repeated contacts between the same
+// pair (multi-edges) and in-buckets whose insertion order does not follow
+// the source order.
+ContactNetwork make_clustered_network() {
+  ContactNetworkBuilder builder(30);
+  for (PersonId i = 0; i < 30; ++i) {
+    for (PersonId step : {7u, 3u, 11u}) {
+      const PersonId j = (i + step) % 30;
+      builder.add_contact(i, j, static_cast<std::uint16_t>(60 * step), 30,
+                          ActivityType::kWork, ActivityType::kOther);
+    }
+    if (i % 4 == 0) {  // a second contact with the same neighbour
+      builder.add_contact((i + 7) % 30, i, 600, 15, ActivityType::kHome,
+                          ActivityType::kHome);
+    }
+  }
+  return std::move(builder).finalize();
+}
+
+TEST(ContactNetwork, OutEdgeTransposeConsistent) {
+  expect_transpose_valid(make_line_network(17));
+  expect_transpose_valid(make_clustered_network());
+}
+
+// read_csv builds the CSR directly, without the builder's mirrored pairs:
+// asymmetric edges (a -> b with no b -> a), repeated edges, rows out of
+// target order and an isolated person.
+TEST(ContactNetwork, OutEdgeTransposeFromCsvWithAsymmetricMultiEdges) {
+  std::stringstream csv;
+  csv << "targetPID,sourcePID,targetActivity,sourceActivity,start,duration,"
+         "weight\n"
+      << "3,0,home,home,0,60,1\n"
+      << "1,2,work,work,60,30,1\n"
+      << "3,0,work,shopping,120,30,0.5\n"  // repeat of 0 -> 3
+      << "0,3,home,home,0,60,1\n"
+      << "1,0,school,school,480,300,2\n"
+      << "3,2,other,other,700,10,1\n"
+      << "0,2,home,work,900,45,1\n"
+      << "1,2,work,work,60,30,1\n";  // exact duplicate of 2 -> 1
+  const ContactNetwork net = ContactNetwork::read_csv(csv, 5);
+  ASSERT_EQ(net.edge_count(), 8u);
+  EXPECT_EQ(net.out_degree(2), 4u);
+  EXPECT_EQ(net.out_degree(1), 0u);  // asymmetric: 1 is only ever a target
+  EXPECT_EQ(net.out_degree(4), 0u);
+  expect_transpose_valid(net);
+  // Person 2's bucket: targets ascending, the duplicate edges into 1 kept
+  // apart by their offsets.
+  const auto out = net.out_edges_of(2);
+  EXPECT_EQ(out[0].target, 0u);
+  EXPECT_EQ(out[1].target, 1u);
+  EXPECT_EQ(out[2].target, 1u);
+  EXPECT_EQ(out[3].target, 3u);
+  EXPECT_LT(out[1].offset, out[2].offset);
+}
+
+TEST(ContactNetwork, OutEdgeTransposeSurvivesBinaryRoundTrip) {
+  for (const ContactNetwork& net :
+       {make_line_network(12), make_clustered_network()}) {
+    const std::string path = "/tmp/episcale_test_outcsr.bin";
+    net.write_binary(path);
+    const ContactNetwork loaded = ContactNetwork::read_binary(path);
+    std::filesystem::remove(path);
+    expect_transpose_valid(loaded);
+    expect_same_transpose(net, loaded);
+  }
 }
 
 // --- Ghost sources (the halo each rank subscribes to) --------------------

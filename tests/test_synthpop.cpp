@@ -310,7 +310,9 @@ TEST_F(GeneratedRegion, ChildrenLiveWithAdults) {
       has_adult |= group == AgeGroup::kAdult ||
                    group == AgeGroup::kOlderAdult || group == AgeGroup::kSenior;
     }
-    if (has_child) EXPECT_TRUE(has_adult) << "household " << h;
+    if (has_child) {
+      EXPECT_TRUE(has_adult) << "household " << h;
+    }
   }
 }
 

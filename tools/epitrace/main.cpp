@@ -66,7 +66,9 @@ struct Run {
 /// `metrics_required` a missing metrics file reads as an empty snapshot.
 Run load_run(const std::string& dir, bool metrics_required) {
   const std::filesystem::path root(dir);
-  Run run{(root / "trace.json").string(), (root / "metrics.json").string()};
+  Run run;
+  run.trace_path = (root / "trace.json").string();
+  run.metrics_path = (root / "metrics.json").string();
   run.model = epitrace::load_trace_file(run.trace_path);
   if (metrics_required || std::filesystem::exists(run.metrics_path)) {
     run.metrics = epitrace::check_metrics_file(run.metrics_path);
